@@ -127,6 +127,14 @@ def obstruction_graph(kind: ObstructionKind) -> Graph:
     return catalogue_graph(kind.tag)
 
 
+def obstruction_size(kind: ObstructionKind) -> int:
+    """Vertex count of :func:`obstruction_graph`, without building it."""
+    if kind.tag == "Fan":
+        assert kind.k is not None
+        return 2 * kind.k + 3
+    return _EDGE_LISTS[kind.tag][0]
+
+
 def find_obstruction_by_scan(
     g: Graph,
 ) -> tuple[ObstructionKind, VertexSet] | None:

@@ -2,9 +2,18 @@
 enumeration of small connected chordal graphs up to isomorphism.
 
 Recognition runs lexicographic BFS and checks the reversed visit order as a
-perfect elimination ordering.  A failed check always yields a chordless
-cycle of length at least four, so callers get a verifiable answer either
-way.  Enumeration grows graphs one simplicial vertex at a time: removing a
+perfect elimination ordering.  LexBFS works by ordered partition
+refinement (Rose, Tarjan & Lueker 1976): the unvisited vertices sit in a
+list of classes of equal label, kept as bitsets; visiting a vertex moves
+its unvisited neighbours of each class into a new class just before it,
+and the next vertex is the lowest id of the first class.  Each edge is
+handled once, when its first endpoint is visited, so the search costs
+O(n + m) steps, each a bitset operation on n-bit ints.  The PEO check
+tests one bitset of earlier-visited neighbours per vertex against its
+parent's neighbourhood.  A failed check always yields a chordless cycle
+of length at least four, so callers get a verifiable answer either way.
+
+Enumeration grows graphs one simplicial vertex at a time: removing a
 simplicial vertex from a connected graph keeps it connected, so every
 connected chordal graph on k+1 vertices arises from one on k vertices by
 attaching a new vertex to a non-empty clique.
@@ -30,20 +39,68 @@ class ChordalityCertificate:
         return self.peo is not None
 
 
+def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
+    """LexBFS order, and for each vertex its neighbour visited last before
+    it (-1 for none)."""
+    n = g.n
+    adj = g.adj
+    order: list[int] = []
+    parent = [-1] * n
+    if n == 0:
+        return order, parent
+    # Classes of unvisited vertices with equal labels, highest label first:
+    # masks by class id, linked through prev/nxt from head.
+    members = [(1 << n) - 1]
+    prev = [-1]
+    nxt = [-1]
+    cls = [0] * n
+    head = 0
+    unvisited = (1 << n) - 1
+    for _ in range(n):
+        first = members[head]
+        low = first & -first
+        v = low.bit_length() - 1
+        order.append(v)
+        unvisited ^= low
+        members[head] = first ^ low
+        if first == low:
+            head = nxt[head]
+            if head >= 0:
+                prev[head] = -1
+        nb = adj[v] & unvisited
+        split: dict[int, int] = {}
+        for w in bits(nb):
+            parent[w] = v
+            c = cls[w]
+            d = split.get(c)
+            if d is None:
+                # neighbours of v outrank the rest of their class
+                d = split[c] = len(members)
+                members.append(0)
+                p = prev[c]
+                prev.append(p)
+                nxt.append(c)
+                prev[c] = d
+                if p < 0:
+                    head = d
+                else:
+                    nxt[p] = d
+            cls[w] = d
+        for c, d in split.items():
+            moved = members[c] & nb
+            members[d] = moved
+            members[c] ^= moved
+            if not members[c]:
+                q = nxt[c]
+                nxt[d] = q
+                if q >= 0:
+                    prev[q] = d
+    return order, parent
+
+
 def lex_bfs(g: Graph) -> list[int]:
     """Lexicographic BFS order; ties broken toward the lowest vertex id."""
-    n = g.n
-    label: list[list[int]] = [[] for _ in range(n)]
-    order: list[int] = []
-    unvisited = set(range(n))
-    for step in range(n):
-        v = max(unvisited, key=lambda u: (label[u], -u))
-        unvisited.discard(v)
-        order.append(v)
-        for w in bits(g.adj[v]):
-            if w in unvisited:
-                label[w].append(n - step)
-    return order
+    return _lex_bfs(g)[0]
 
 
 def verify_peo(g: Graph, order: list[int] | tuple[int, ...]) -> bool:
@@ -78,21 +135,21 @@ def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
 
 def is_chordal(g: Graph) -> ChordalityCertificate:
     """Perfect elimination ordering if chordal, otherwise a hole."""
-    order = lex_bfs(g)
-    peo = order[::-1]
-    pos = [0] * g.n
-    for i, v in enumerate(peo):
-        pos[v] = i
-    for v in peo:
-        later = [u for u in bits(g.adj[v]) if pos[u] > pos[v]]
+    order, parent = _lex_bfs(g)
+    earlier = (1 << g.n) - 1
+    # The reversed order is a PEO iff, for each vertex v, the neighbours
+    # visited before v are adjacent to the last of them.
+    for v in reversed(order):
+        earlier ^= 1 << v
+        later = g.adj[v] & earlier
         if not later:
             continue
-        parent = min(later, key=lambda u: pos[u])
-        for w in later:
-            if w != parent and not g.has_edge(parent, w):
-                hole = _find_hole(g, hint=(v, parent, w))
-                return ChordalityCertificate(None, hole)
-    return ChordalityCertificate(tuple(peo), None)
+        p = parent[v]
+        bad = later & ~(g.adj[p] | 1 << p)
+        if bad:
+            w = (bad & -bad).bit_length() - 1
+            return ChordalityCertificate(None, _find_hole(g, hint=(v, p, w)))
+    return ChordalityCertificate(tuple(order[::-1]), None)
 
 
 def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:

@@ -2,9 +2,11 @@
 
 Exit codes for ``check``/``obstruction``/``solve``: 0 = partitionable (or
 nothing found), 1 = obstruction found / unsatisfiable, 2 = input error or
-non-chordal input without ``--force-oracle``.  Batch commands exit 0 iff
-their report contains no failures.  Reports are deterministic for fixed
-flags and seed; timing goes to stderr only.
+non-chordal input without ``--force-oracle``.  ``verify`` exits 0 for a
+valid certificate, 1 for an invalid one and 2 for an unreadable graph or
+a malformed certificate document.  Batch commands exit 0 iff their
+report contains no failures.  Reports are deterministic for fixed flags
+and seed; timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -25,12 +27,7 @@ from .catalogue import (
     find_obstruction_by_scan,
     obstruction_graph,
 )
-from .chordal import (
-    MAX_ENUMERATION_N,
-    enumerate_connected_chordal,
-    is_chordal,
-    random_chordal,
-)
+from .chordal import MAX_ENUMERATION_N, enumerate_connected_chordal, random_chordal
 from .graph import (
     Graph,
     from_edgelist,
@@ -146,10 +143,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input, args.format)
         doc = json.loads(_read_text(args.certificate))
-    except (ValueError, OSError) as exc:
+        cert = _certificate_from_json(g, doc)
+    except (ValueError, OSError, RecursionError) as exc:  # too deeply nested JSON
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    cert = _certificate_from_json(g, doc)
     if isinstance(cert, str):
         print(json.dumps({"valid": False, "reason": cert}, sort_keys=True))
         return EXIT_NO
@@ -158,15 +155,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_YES if problem is None else EXIT_NO
 
 
-def _certificate_from_json(g: Graph, doc: dict) -> M1Certificate | str:
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(value: object) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _certificate_from_json(g: Graph, doc: object) -> M1Certificate | str:
+    """The certificate a parsed JSON document states, or why it states none.
+
+    Raises ValueError when the document does not have a certificate's
+    shape: an object whose yes ``parts`` are three lists of ints, or whose
+    no ``witness`` is an object with a string ``kind``, an int list
+    ``vertices`` and an int ``k`` where one is given.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError("malformed certificate: not a JSON object")
     if doc.get("decision") == "yes":
         parts = doc.get("parts")
-        if not isinstance(parts, list) or len(parts) != 3:
-            return "yes certificates need exactly three parts"
+        if not (isinstance(parts, list) and len(parts) == 3
+                and all(map(_is_int_list, parts))):
+            raise ValueError("malformed certificate: parts must be three lists of ints")
         assignment = [-1] * g.n
         for i, part in enumerate(parts):
             for v in part:
-                if not isinstance(v, int) or not 0 <= v < g.n or assignment[v] != -1:
+                if not 0 <= v < g.n or assignment[v] != -1:
                     return f"bad or duplicated vertex {v!r} in parts"
                 assignment[v] = i
         if -1 in assignment:
@@ -175,15 +190,18 @@ def _certificate_from_json(g: Graph, doc: dict) -> M1Certificate | str:
     if doc.get("decision") == "no":
         wit = doc.get("witness")
         if not isinstance(wit, dict):
-            return "no certificates need a witness object"
+            raise ValueError("malformed certificate: no witness object")
+        kind, k, vertices = wit.get("kind"), wit.get("k"), wit.get("vertices")
+        if not isinstance(kind, str):
+            raise ValueError("malformed certificate: witness kind must be a string")
+        if k is not None and not _is_int(k):
+            raise ValueError("malformed certificate: witness k must be an int")
+        if not _is_int_list(vertices):
+            raise ValueError("malformed certificate: witness vertices must be a list of ints")
         try:
-            kind = ObstructionKind(wit["kind"], wit.get("k"))
-        except (KeyError, ValueError) as exc:
+            return M1Certificate(None, (ObstructionKind(kind, k), frozenset(vertices)))
+        except ValueError as exc:
             return f"bad witness kind: {exc}"
-        vertices = wit.get("vertices")
-        if not isinstance(vertices, list):
-            return "witness needs a vertex list"
-        return M1Certificate(None, (kind, frozenset(vertices)))
     return "decision must be 'yes' or 'no'"
 
 
@@ -223,6 +241,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_YES
 
 
+def _certify_checked(report: RunReport, g: Graph) -> M1Certificate | None:
+    """``solve_certifying``, which checks chordality and its certificate
+    itself; a failed check goes into the report and gives None."""
+    try:
+        return solve_certifying(g)
+    except NotChordalError:
+        report.fail(g, "not-chordal")
+    except RuntimeError as exc:
+        report.fail(g, "invalid-certificate", str(exc))
+    return None
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     report = RunReport(command="enumerate")
     started = time.monotonic()
@@ -231,10 +261,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         if not args.verify:
             print(to_graph6(g))
             continue
-        cert = solve_certifying(g)
-        problem = verify_certificate(g, cert)
-        if problem is not None:
-            report.fail(g, "invalid-certificate", problem)
+        cert = _certify_checked(report, g)
+        if cert is None:
             continue
         by_oracle = solve(g, M1) is not None
         by_scan = find_obstruction_by_scan(g) is None
@@ -268,15 +296,8 @@ def cmd_random(args: argparse.Namespace) -> int:
     for trial in range(args.trials):
         g = random_chordal(args.n, args.attach_bias, seed=args.seed + trial)
         report.record(g.n)
-        if not is_chordal(g):
-            report.fail(g, "not-chordal")
-            continue
-        cert = solve_certifying(g)
-        problem = verify_certificate(g, cert)
-        if problem is None:
+        if _certify_checked(report, g) is not None:
             report.agreements += 1
-        else:
-            report.fail(g, "invalid-certificate", problem)
     print(report.to_json())
     _elapsed(started)
     return report.exit_code

@@ -272,12 +272,13 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     index = {v: i for i, v in enumerate(keep)}
-    edges = [
-        (index[u], index[v])
-        for i, u in enumerate(keep)
-        for v in keep[i + 1:]
-        if g.has_edge(u, v)
-    ]
+    rest = 0
+    for v in keep:
+        rest |= 1 << v
+    edges = []
+    for i, u in enumerate(keep):
+        rest ^= 1 << u  # kept vertices above u
+        edges.extend((i, index[v]) for v in bits(g.adj[u] & rest))
     return Graph(len(keep), edges)
 
 

@@ -93,16 +93,28 @@ def verify_assignment(
     """
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
+    m = pattern.m
+    part_masks = [0] * m
     for v, part in enumerate(assignment):
-        if not 0 <= part < pattern.m:
+        if not 0 <= part < m:
             raise ValueError(f"vertex {v} assigned to invalid part {part}")
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cell = pattern.cells[assignment[u]][assignment[v]]
-            if cell == STAR:
-                continue
-            if (cell == ONE) != g.has_edge(u, v):
-                return PartitionViolation(u, v, assignment[u], assignment[v], cell)
+        part_masks[part] |= 1 << v
+    # per part: the vertices its members must see, and must miss
+    must_see = [0] * m
+    must_miss = [0] * m
+    for i, row in enumerate(pattern.cells):
+        for j, cell in enumerate(row):
+            if cell == ONE:
+                must_see[i] |= part_masks[j]
+            elif cell == ZERO:
+                must_miss[i] |= part_masks[j]
+    for u, i in enumerate(assignment):
+        nb = g.adj[u]
+        bad = (must_see[i] & ~nb | must_miss[i] & nb) >> (u + 1)
+        if bad:
+            v = u + (bad & -bad).bit_length()
+            j = assignment[v]
+            return PartitionViolation(u, v, i, j, pattern.cells[i][j])
     return None
 
 

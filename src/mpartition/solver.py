@@ -27,7 +27,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .catalogue import ObstructionKind, catalogue_graph, fan_kind, obstruction_graph
+from .catalogue import (
+    FINITE_MINIMAL_TAGS,
+    ObstructionKind,
+    catalogue_graph,
+    fan_kind,
+    obstruction_graph,
+    obstruction_size,
+)
 from .chordal import is_chordal
 from .graph import (
     Graph,
@@ -98,11 +105,15 @@ def verify_certificate(g: Graph, cert: M1Certificate) -> str | None:
             return str(exc)
         return None if violation is None else str(violation)
     kind, vertices = cert.witness
+    if kind.tag not in FINITE_MINIMAL_TAGS and kind.tag != "Fan":
+        return f"{kind} is not a minimal obstruction"
     if not all(0 <= v < g.n for v in vertices):
         return "witness vertices out of range"
+    # sized before it is built: k comes from outside and may be huge
+    size = obstruction_size(kind)
+    if len(vertices) != size:
+        return f"witness has {len(vertices)} vertices, {kind} needs {size}"
     member = obstruction_graph(kind)
-    if len(vertices) != member.n:
-        return f"witness has {len(vertices)} vertices, {kind} needs {member.n}"
     if not is_isomorphic(induced(g, vertices), member):
         return f"witness does not induce {kind}"
     return None

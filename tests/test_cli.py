@@ -1,4 +1,11 @@
+import contextlib
+import io
 import json
+import sys
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpartition import fan, to_graph6
 from mpartition.cli import main
@@ -83,6 +90,92 @@ def test_verify_rejects_tampered_certificate(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "verify", gpath, str(cert))
     assert code == 1 and json.loads(out)["valid"] is False
+
+
+#: Documents that are not certificates at all, checked against Fan(2).
+MALFORMED = (
+    "[1,2]",
+    "null",
+    '{"decision":"no","parts":null,"witness":{"kind":"F1","vertices":[[0],1,2,3,4]}}',
+    '{"decision":"no","parts":null,"witness":{"kind":"F1","vertices":["0",1,2,3,4]}}',
+    '{"decision":"no","parts":null,"witness":{"kind":"Fan","k":"3","vertices":[0,1,2,3,4,5,6]}}',
+    '{"decision":"yes","parts":[1,2,3],"witness":null}',
+    "[" * 100000 + "]" * 100000,
+)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    MALFORMED,
+    ids=("list", "null", "list-vertex", "str-vertex", "str-k", "int-parts", "deep"),
+)
+def test_verify_malformed_document_is_an_input_error(tmp_path, capsys, doc):
+    gpath = write_graph6(tmp_path, fan(2))
+    cert = tmp_path / "cert.json"
+    cert.write_text(doc)
+    code, out, err = run(capsys, "verify", gpath, str(cert))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_rejects_auxiliary_witness_kind(tmp_path, capsys):
+    # two disjoint triangles induce F0, which is not a minimal obstruction
+    gpath = tmp_path / "f0.g6"
+    gpath.write_text("EwCW\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"decision":"no","parts":null,'
+        '"witness":{"kind":"F0","vertices":[0,1,2,3,4,5]}}'
+    )
+    code, out, _ = run(capsys, "verify", str(gpath), str(cert))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "reason": "F0 is not a minimal obstruction"}
+
+
+_json_leaves = st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_vertex_lists = st.lists(st.integers(-1, 8) | _json_values, max_size=8)
+_witnesses = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["F1", "F4", "F7", "F0", "Fan", "G"]) | _json_values,
+        "vertices": _vertex_lists | _json_values,
+    },
+    optional={"k": st.integers(-1, 4) | _json_values},
+)
+_certificate_like = st.fixed_dictionaries(
+    {"decision": st.sampled_from(["yes", "no"])},
+    optional={
+        "parts": st.lists(_vertex_lists, min_size=2, max_size=4) | _json_values,
+        "witness": _witnesses | _json_values,
+    },
+)
+
+
+@pytest.fixture(scope="module")
+def fan2_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("verify") / "fan2.g6"
+    path.write_text(to_graph6(fan(2)) + "\n")
+    return str(path)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_certificate_like | _json_values)
+def test_verify_is_total_on_json_values(fan2_path, doc):
+    saved = sys.stdin
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = main(["verify", fan2_path, "-"])
+    finally:
+        sys.stdin = saved
+    assert code in (1, 2)
 
 
 def test_obstruction_scan(tmp_path, capsys):

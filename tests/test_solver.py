@@ -23,6 +23,7 @@ from mpartition import (
     solve_unique_triangle,
     verify_certificate,
 )
+from mpartition.catalogue import ObstructionKind, catalogue_graph
 from mpartition.chordal import verify_hole
 from mpartition.graph import complete_graph, cycle_graph, disjoint_union, path_graph
 from mpartition.solver import M1Certificate
@@ -273,6 +274,21 @@ def test_verify_certificate_rejects_tampering():
     k4 = complete_graph(4)
     wrong_kind = M1Certificate(None, (fan_kind(2), frozenset(range(4))))
     assert verify_certificate(k4, wrong_kind) is not None
+
+
+def test_verify_certificate_accepts_only_minimal_kinds():
+    for tag in ("F0", "F01", "F02"):
+        g = catalogue_graph(tag)
+        cert = M1Certificate(None, (ObstructionKind(tag), frozenset(range(g.n))))
+        assert verify_certificate(g, cert) == f"{tag} is not a minimal obstruction"
+
+
+def test_verify_certificate_checks_witness_size_first():
+    # Fan(10**9) would have 2 * 10**9 + 3 vertices: never built
+    huge = M1Certificate(None, (fan_kind(10**9), frozenset(range(7))))
+    assert verify_certificate(fan(2), huge) == (
+        "witness has 7 vertices, Fan(1000000000) needs 2000000003"
+    )
 
 
 def test_case_functions_guard_their_preconditions():
