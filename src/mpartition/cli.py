@@ -198,6 +198,11 @@ def _certificate_from_json(g: Graph, doc: object) -> M1Certificate | str:
             raise ValueError("malformed certificate: witness k must be an int")
         if not _is_int_list(vertices):
             raise ValueError("malformed certificate: witness vertices must be a list of ints")
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                return f"duplicated witness vertex {v}"
+            seen.add(v)
         try:
             return M1Certificate(None, (ObstructionKind(kind, k), frozenset(vertices)))
         except ValueError as exc:

@@ -32,7 +32,6 @@ from .catalogue import (
     ObstructionKind,
     catalogue_graph,
     fan_kind,
-    obstruction_graph,
     obstruction_size,
 )
 from .chordal import is_chordal
@@ -109,14 +108,46 @@ def verify_certificate(g: Graph, cert: M1Certificate) -> str | None:
         return f"{kind} is not a minimal obstruction"
     if not all(0 <= v < g.n for v in vertices):
         return "witness vertices out of range"
-    # sized before it is built: k comes from outside and may be huge
+    # sized first: k comes from outside and may be huge
     size = obstruction_size(kind)
     if len(vertices) != size:
         return f"witness has {len(vertices)} vertices, {kind} needs {size}"
-    member = obstruction_graph(kind)
-    if not is_isomorphic(induced(g, vertices), member):
-        return f"witness does not induce {kind}"
-    return None
+    if kind.tag == "Fan":
+        fits = _induces_fan(g, vertices, kind.k)
+    else:
+        fits = is_isomorphic(induced(g, vertices), catalogue_graph(kind.tag))
+    return None if fits else f"witness does not induce {kind}"
+
+
+def _induces_fan(g: Graph, vertices: VertexSet, k: int) -> bool:
+    """Do ``vertices`` induce Fan(k)?  O(k) mask steps on ``g.adj``.
+
+    The apex is the one vertex seeing 2k others and the path ends are the
+    two it misses, so the apex sees exactly the inner path vertices.  A
+    walk from one end that meets exactly one unvisited neighbour at each
+    of its 2k+1 steps and stops on the other end is an induced path: a
+    chord would be a second unvisited neighbour at its nearer end.
+    """
+    w = 0
+    for v in vertices:
+        w |= 1 << v
+    nbrs = {v: g.adj[v] & w for v in vertices}
+    apexes = [v for v, nb in nbrs.items() if nb.bit_count() == 2 * k]
+    if len(apexes) != 1:
+        return False
+    path = w & ~(1 << apexes[0])
+    ends = path & ~nbrs[apexes[0]]
+    if ends.bit_count() != 2:
+        return False
+    cur = (ends & -ends).bit_length() - 1
+    visited = 1 << cur
+    for _ in range(2 * k + 1):
+        step = nbrs[cur] & path & ~visited
+        if not step or step & (step - 1):
+            return False
+        visited |= step
+        cur = step.bit_length() - 1
+    return bool(ends >> cur & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -201,10 +232,6 @@ def _bfs_tree(
                 nxt.append(v)
         queue = nxt
     return comp, depth, parent
-
-
-def _height(depth: list[int]) -> int:
-    return max(depth)
 
 
 def _min_at_depth(depth: list[int], d: int) -> int:
@@ -322,7 +349,7 @@ def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
     if covered != (1 << g.n) - 1:
         raise RuntimeError("internal error: triangle trees do not cover the graph")
 
-    heights = {v: _height(trees[v][1]) for v in b}
+    heights = {v: max(trees[v][1]) for v in b}
     trivial = [v for v in b if heights[v] == 0]
     if not trivial:
         children = [min(bits(g.adj[v] & trees[v][0])) for v in b]
@@ -377,7 +404,7 @@ def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
     apex_trees = {v: _bfs_tree(g, v, pair_mask) for v in apexes}
     for v in apexes:
         depth, parent = apex_trees[v][1], apex_trees[v][2]
-        if _height(depth) >= 2:
+        if max(depth) >= 2:
             other = min(a for a in apexes if a != v)
             x, y = _tail_edge(depth, parent, 2)
             return _no(ObstructionKind("F1"), {v1, v2, other, x, y})
@@ -388,9 +415,9 @@ def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
         return _bfs_tree(g, root, apex_mask | 1 << other)
 
     t1, t2 = side_tree(v1, v2), side_tree(v2, v1)
-    h1, h2 = _height(t1[1]), _height(t2[1])
+    h1, h2 = max(t1[1]), max(t2[1])
 
-    tall_apexes = [v for v in apexes if _height(apex_trees[v][1]) == 1]
+    tall_apexes = [v for v in apexes if max(apex_trees[v][1]) == 1]
     if tall_apexes:
         v0 = tall_apexes[0]
         if h1 >= 1 and h2 >= 1:

@@ -132,6 +132,20 @@ def test_verify_rejects_auxiliary_witness_kind(tmp_path, capsys):
     assert json.loads(out) == {"valid": False, "reason": "F0 is not a minimal obstruction"}
 
 
+def test_verify_rejects_duplicated_witness_vertex(tmp_path, capsys):
+    # nine entries, but as a set the seven vertices of Fan(2) itself
+    gpath = tmp_path / "fan2.g6"
+    gpath.write_text("FhCJo\n")
+    cert = tmp_path / "cert.json"
+    cert.write_text(
+        '{"decision":"no","witness":'
+        '{"kind":"Fan","k":2,"vertices":[0,0,1,2,3,4,5,6,6]}}'
+    )
+    code, out, _ = run(capsys, "verify", str(gpath), str(cert))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "reason": "duplicated witness vertex 0"}
+
+
 _json_leaves = st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4)
 _json_values = st.recursive(
     _json_leaves,
