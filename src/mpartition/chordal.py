@@ -361,14 +361,6 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
         level = grown
 
 
-def enumeration_counts(max_n: int) -> dict[int, int]:
-    """Graphs per vertex count, as emitted by the enumerator."""
-    counts: dict[int, int] = {}
-    for g in enumerate_connected_chordal(max_n):
-        counts[g.n] = counts.get(g.n, 0) + 1
-    return counts
-
-
 def is_connected(g: Graph) -> bool:
     return g.n == 0 or len(component_masks(g)) == 1
 
@@ -380,7 +372,6 @@ __all__ = [
     "canonical_key",
     "canonical_labelling",
     "enumerate_connected_chordal",
-    "enumeration_counts",
     "is_chordal",
     "is_connected",
     "lex_bfs",

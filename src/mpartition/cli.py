@@ -12,6 +12,7 @@ and seed; timing goes to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -106,10 +107,6 @@ def _emit_graph(g: Graph, fmt: str) -> str:
     return to_graph6(g) + "\n"
 
 
-def _certificate_exit(cert: M1Certificate) -> int:
-    return EXIT_YES if cert.decision == "yes" else EXIT_NO
-
-
 def cmd_check(args: argparse.Namespace) -> int:
     try:
         g = _read_graph(args.input, args.format)
@@ -136,7 +133,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             )
             return EXIT_NO
     print(cert.to_json())
-    return _certificate_exit(cert)
+    return EXIT_YES if cert.decision == "yes" else EXIT_NO
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -453,8 +450,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: One parser per process, built on first use: each ``parse_args`` call
+#: returns a fresh namespace, so in-process callers can share it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -11,6 +11,7 @@ subgraph embedding, bipartiteness with certificates, components).
 
 from __future__ import annotations
 
+import binascii
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -120,12 +121,19 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 # column order ((0,1), (0,2), (1,2), (0,3), ...), packed into big-endian
 # 6-bit groups, each stored as one printable byte with offset 63.  The
 # one-byte size header covers n <= 62; the four-byte form (0x7e prefix,
-# 18-bit size) covers larger graphs.
+# 18-bit size) covers larger graphs.  A 6-bit group is one base64 digit, so
+# the bit field goes through binascii's base64 codec: linear in the text.
 # ---------------------------------------------------------------------------
+
+_G6_DIGITS = bytes(range(63, 127))
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 
 
 class Graph6Error(ValueError):
-    """Malformed graph6 text; ``offset`` is the byte position of the fault."""
+    """Malformed graph6 text; ``offset`` indexes the fault in the text as
+    passed, before whitespace and the ``>>graph6<<`` header are removed."""
 
     def __init__(self, message: str, offset: int) -> None:
         super().__init__(f"{message} (byte offset {offset})")
@@ -134,61 +142,62 @@ class Graph6Error(ValueError):
 
 def from_graph6(text: str) -> Graph:
     """Decode one line of graph6 into a :class:`Graph`."""
-    s = text.strip()
-    if s.startswith(_GRAPH6_HEADER):
-        s = s[len(_GRAPH6_HEADER):]
+    s = text.strip().removeprefix(_GRAPH6_HEADER)
+    lead = len(text.rstrip()) - len(s)  # where s starts in text
+
+    def error(message: str, offset: int) -> Graph6Error:
+        return Graph6Error(message, lead + offset)
+
     if not s:
-        raise Graph6Error("empty graph6 string", 0)
+        raise error("empty graph6 string", 0)
     try:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
-        raise Graph6Error("non-ASCII character", exc.start) from None
-    pos = 0
+        raise error("non-ASCII character", exc.start) from None
     if data[0] == 126:  # '~' introduces the multi-byte size forms
         if len(data) >= 2 and data[1] == 126:
-            raise Graph6Error("8-byte size form (n > 258047) not supported", 0)
+            raise error("8-byte size form (n > 258047) not supported", 0)
         if len(data) < 4:
-            raise Graph6Error("truncated long-form size header", len(data))
+            raise error("truncated long-form size header", len(data))
         n = 0
         for i in range(1, 4):
             if not 63 <= data[i] <= 126:
-                raise Graph6Error(f"illegal size byte {data[i]:#x}", i)
+                raise error(f"illegal size byte {data[i]:#x}", i)
             n = (n << 6) | (data[i] - 63)
         if n <= 62:
-            raise Graph6Error("long-form size header used for n <= 62", 0)
+            raise error("long-form size header used for n <= 62", 0)
         pos = 4
     else:
         if not 63 <= data[0] <= 126:
-            raise Graph6Error(f"illegal size byte {data[0]:#x}", 0)
+            raise error(f"illegal size byte {data[0]:#x}", 0)
         n = data[0] - 63
         pos = 1
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    if len(data) - pos < nbytes:
-        raise Graph6Error(
-            f"truncated bit field: need {nbytes} bytes, have {len(data) - pos}",
-            len(data),
+    field = data[pos:]
+    if len(field) < nbytes:
+        raise error(
+            f"truncated bit field: need {nbytes} bytes, have {len(field)}", len(data)
         )
-    if len(data) - pos > nbytes:
-        raise Graph6Error("trailing bytes after bit field", pos + nbytes)
-    bitstream = 0
-    for i in range(nbytes):
-        byte = data[pos + i]
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"illegal character {byte:#x} in bit field", pos + i)
-        bitstream = (bitstream << 6) | (byte - 63)
-    pad = nbytes * 6 - npairs
-    if pad and bitstream & ((1 << pad) - 1):
-        raise Graph6Error("nonzero padding bits", pos + nbytes - 1)
-    bitstream >>= pad
+    if len(field) > nbytes:
+        raise error("trailing bytes after bit field", pos + nbytes)
+    illegal = field.translate(None, _G6_DIGITS)
+    if illegal:
+        raise error(f"illegal character {illegal[0]:#x} in bit field",
+                    pos + field.index(illegal[0]))
+    quanta = field.translate(_G6_TO_B64) + b"A" * (-nbytes % 4)  # zero digits
+    stream = int.from_bytes(binascii.a2b_base64(quanta), "big")
+    stream = format(stream, f"0{len(quanta) * 6}b")
+    if "1" in stream[npairs:nbytes * 6]:
+        raise error("nonzero padding bits", pos + nbytes - 1)
     edges = []
-    # bitstream now holds the pairs with the FIRST pair in the highest bit
-    shift = npairs - 1
-    for j in range(1, n):
-        for i in range(j):
-            if bitstream >> shift & 1:
-                edges.append((i, j))
-            shift -= 1
+    start = 0
+    for j in range(1, n):  # column j holds the pairs (0, j) .. (j-1, j)
+        i = stream.find("1", start, start + j)
+        while i >= 0:
+            edges.append((i - start, j))
+            i = stream.find("1", i + 1, start + j)
+        start += j
     return Graph(n, edges)
 
 
@@ -201,19 +210,23 @@ def to_graph6(g: Graph) -> str:
         head = chr(n + 63)
     else:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    bitstream = 0
-    npairs = 0
-    for j in range(1, n):
-        for i in range(j):
-            bitstream = (bitstream << 1) | (g.adj[i] >> j & 1)
-            npairs += 1
-    pad = (-npairs) % 6
-    bitstream <<= pad
-    body = "".join(
-        chr((bitstream >> s & 63) + 63)
-        for s in range((npairs + pad) - 6, -1, -6)
-    )
-    return head + body
+    # Columns from the last to the first, each its lower neighbourhood high
+    # bit first, spell the pair stream backwards.  Chunks of ~4096 bits keep
+    # small graphs to one format call and large ones free of a growing int.
+    chunks = []
+    chunk = width = 0
+    for j in range(n - 1, 0, -1):
+        chunk = chunk << j | g.adj[j] & ((1 << j) - 1)
+        width += j
+        if width >= 4096 or j == 1:
+            chunks.append(format(chunk, f"0{width}b"))
+            chunk = width = 0
+    stream = "".join(chunks)[::-1]
+    nbytes = (len(stream) + 5) // 6
+    stream += "0" * ((nbytes + -nbytes % 4) * 6 - len(stream))  # whole base64 quanta
+    quanta = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
+    body = binascii.b2a_base64(quanta, newline=False)[:nbytes]
+    return head + body.translate(_B64_TO_G6).decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -234,13 +234,9 @@ def _bfs_tree(
     return comp, depth, parent
 
 
-def _min_at_depth(depth: list[int], d: int) -> int:
-    return min(v for v, dv in enumerate(depth) if dv == d)
-
-
 def _tail_edge(depth: list[int], parent: list[int], d: int) -> tuple[int, int]:
     """Deterministic (depth d-1, depth d) tree edge: deepest vertex first."""
-    y = _min_at_depth(depth, d)
+    y = min(v for v, dv in enumerate(depth) if dv == d)
     return parent[y], y
 
 
@@ -340,9 +336,7 @@ def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
     ):
         raise RuntimeError("internal error: bipartizers do not induce a triangle")
     tri_mask = sum(1 << v for v in b)
-    trees = {}
-    for v in b:
-        trees[v] = _bfs_tree(g, v, tri_mask & ~(1 << v))
+    trees = {v: _bfs_tree(g, v, tri_mask & ~(1 << v)) for v in b}
     covered = 0
     for mask, _, _ in trees.values():
         covered |= mask
@@ -511,10 +505,12 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             raise RuntimeError("internal error: outer vertices must be pendant")
 
     attach: dict[int, int] = {}
+    attach_mask = 0
     for u in spokes:
         pendant = g.adj[u] & outer_mask
         if pendant:
             attach[u] = (pendant & -pendant).bit_length() - 1
+            attach_mask |= 1 << u
 
     spoke_edges = [
         (u, v)
@@ -546,16 +542,14 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             ObstructionKind("F4"), {hub, u, w, attach[u], attach[w], pu, pw}
         )
 
-    assignment = [0] * g.n
+    assignment = [0] * g.n  # outer (pendant) vertices stay in part 0
     assignment[hub] = 2
-    for v in bits(outer_mask):
-        assignment[v] = 0
 
     remaining = spoke_mask
     while remaining:
         seed = (remaining & -remaining).bit_length() - 1
         comp, cdepth, cparent = _bfs_tree(g, seed, full & ~spoke_mask)
-        attached_here = sorted(v for v in attach if comp >> v & 1)
+        attached_here = list(bits(comp & attach_mask))
         root = attached_here[0] if attached_here else seed
         if root != seed:
             comp, cdepth, cparent = _bfs_tree(g, root, full & ~spoke_mask)

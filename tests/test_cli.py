@@ -317,3 +317,17 @@ def test_convert_formats(tmp_path, capsys):
     assert code == 0 and out.strip() == to_graph6(fan(2))
     code, out, _ = run(capsys, "convert", gpath, "--format", "dot")
     assert code == 0 and out.startswith("graph {")
+
+
+def test_parser_is_shared_and_keeps_no_state_between_calls(tmp_path, capsys):
+    from mpartition import cli
+
+    assert cli._parser() is cli._parser()
+    gpath = write_graph6(tmp_path, fan(2))
+    code, out, _ = run(capsys, "convert", gpath, "--format", "edgelist")
+    assert code == 0 and out.startswith("7 9\n")
+    code, out, _ = run(capsys, "convert", gpath)  # the default format again
+    assert code == 0 and out.strip() == to_graph6(fan(2))
+    hole = write_graph6(tmp_path, cycle_graph(4), "c4.g6")
+    assert run(capsys, "check", hole, "--force-oracle")[0] == 0
+    assert run(capsys, "check", hole)[0] == 2  # --force-oracle is not carried over

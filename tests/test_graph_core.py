@@ -116,22 +116,44 @@ def test_graph6_long_form():
         assert from_graph6(s) == g
 
 
+LONG_63 = "~??~"  # long-form header of a 63-vertex graph: 326 field bytes
+
+
+GRAPH6_ERRORS = [
+    ("", "empty graph6 string", 0),
+    ("B", "truncated bit field: need 1 bytes, have 0", 1),
+    ("BWW", "trailing bytes after bit field", 2),
+    # str.strip() removes \x1c-\x1f, so this one is only truncated
+    ("B\x1f", "truncated bit field: need 1 bytes, have 0", 1),
+    ("B!", "illegal character 0x21 in bit field", 1),
+    (LONG_63 + "?" * 100 + "!" + "?" * 225,
+     "illegal character 0x21 in bit field", 104),
+    (LONG_63 + "?" * 325, "truncated bit field: need 326 bytes, have 325", 329),
+    ("!", "illegal size byte 0x21", 0),
+    ("~?!?", "illegal size byte 0x21", 2),
+    ("~?", "truncated long-form size header", 2),
+    ("~??B", "long-form size header used for n <= 62", 0),
+    ("~~??????", "8-byte size form (n > 258047) not supported", 0),
+    ("Bc", "nonzero padding bits", 1),  # 'c' = 100100, pairs need 3 bits
+    ("B\u00e9", "non-ASCII character", 1),
+    # offsets index the text as passed, header and whitespace included
+    (">>graph6<<BWW", "trailing bytes after bit field", 12),
+    ("  BWW\n", "trailing bytes after bit field", 4),
+    (" >>graph6<<~?!?", "illegal size byte 0x21", 13),
+    (">>graph6<<", "empty graph6 string", 10),
+]
+
+
 @pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "B",            # truncated bit field
-        "BWW",          # trailing bytes
-        "B\x1f",        # illegal character
-        "~??B",         # long form used for small n
-        "~~??????",     # 8-byte size form
-        "Bc",           # nonzero padding bits ('c' = 100100, pairs need 3 bits)
-    ],
+    "text, message, offset",
+    GRAPH6_ERRORS,
+    ids=[t if len(t) < 20 else f"{t[:4]}+{len(t) - 4}" for t, _, _ in GRAPH6_ERRORS],
 )
-def test_graph6_errors(text):
+def test_graph6_errors(text, message, offset):
     with pytest.raises(Graph6Error) as err:
         from_graph6(text)
-    assert "byte offset" in str(err.value)
+    assert str(err.value) == f"{message} (byte offset {offset})"
+    assert err.value.offset == offset
 
 
 # -- edge lists and DOT ------------------------------------------------------

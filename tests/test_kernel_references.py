@@ -2,22 +2,29 @@
 
 The references below are the straightforward pair-scanning versions of
 ``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
-``induced``.  The library versions must return exactly the same orders,
-holes, first violations and subgraphs on every input.
+``induced``, and the bit-at-a-time graph6 codec.  The library versions
+must return exactly the same orders, holes, first violations, subgraphs,
+graph6 text and decode errors on every input.
 """
 
+import random
+
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpartition import (
     M1,
     Graph,
+    Graph6Error,
     Pattern,
     PartitionViolation,
+    from_graph6,
     induced,
     is_chordal,
     random_chordal,
     solve_certifying,
+    to_graph6,
     verify_assignment,
 )
 from mpartition.chordal import _find_hole, lex_bfs
@@ -211,3 +218,163 @@ def test_induced_matches_reference(g, data):
     s = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
     sub = induced(g, s)
     assert sub == ref_induced(g, s)
+
+
+def ref_to_graph6(g):
+    n = g.n
+    head = chr(n + 63) if n <= 62 else "~" + "".join(
+        chr((n >> s & 63) + 63) for s in (12, 6, 0)
+    )
+    bitstream = 0
+    npairs = 0
+    for j in range(1, n):
+        for i in range(j):
+            bitstream = (bitstream << 1) | (g.adj[i] >> j & 1)
+            npairs += 1
+    pad = (-npairs) % 6
+    bitstream <<= pad
+    return head + "".join(
+        chr((bitstream >> s & 63) + 63) for s in range(npairs + pad - 6, -1, -6)
+    )
+
+
+def ref_from_graph6(text):
+    s = text.strip()
+    lead = text.find(s)  # 0 when s is empty
+    if s.startswith(">>graph6<<"):
+        s = s[10:]
+        lead += 10
+
+    def fail(message, offset):
+        return Graph6Error(message, lead + offset)
+
+    if not s:
+        raise fail("empty graph6 string", 0)
+    try:
+        data = s.encode("ascii")
+    except UnicodeEncodeError as exc:
+        raise fail("non-ASCII character", exc.start) from None
+    if data[0] == 126:
+        if len(data) >= 2 and data[1] == 126:
+            raise fail("8-byte size form (n > 258047) not supported", 0)
+        if len(data) < 4:
+            raise fail("truncated long-form size header", len(data))
+        n = 0
+        for i in range(1, 4):
+            if not 63 <= data[i] <= 126:
+                raise fail(f"illegal size byte {data[i]:#x}", i)
+            n = (n << 6) | (data[i] - 63)
+        if n <= 62:
+            raise fail("long-form size header used for n <= 62", 0)
+        pos = 4
+    else:
+        if not 63 <= data[0] <= 126:
+            raise fail(f"illegal size byte {data[0]:#x}", 0)
+        n = data[0] - 63
+        pos = 1
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    if len(data) - pos < nbytes:
+        raise fail(
+            f"truncated bit field: need {nbytes} bytes, have {len(data) - pos}",
+            len(data),
+        )
+    if len(data) - pos > nbytes:
+        raise fail("trailing bytes after bit field", pos + nbytes)
+    bitstream = 0
+    for i in range(nbytes):
+        byte = data[pos + i]
+        if not 63 <= byte <= 126:
+            raise fail(f"illegal character {byte:#x} in bit field", pos + i)
+        bitstream = (bitstream << 6) | (byte - 63)
+    pad = nbytes * 6 - npairs
+    if pad and bitstream & ((1 << pad) - 1):
+        raise fail("nonzero padding bits", pos + nbytes - 1)
+    bitstream >>= pad
+    edges = []
+    shift = npairs - 1
+    for j in range(1, n):
+        for i in range(j):
+            if bitstream >> shift & 1:
+                edges.append((i, j))
+            shift -= 1
+    return Graph(n, edges)
+
+
+def nx_graph6(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges())
+    return nx.to_graph6_bytes(nxg, header=False).rstrip().decode("ascii")
+
+
+def decode_outcome(decode, text):
+    """The graph decoded, or the error's text and offset."""
+    try:
+        return decode(text)
+    except Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+def random_graph(n, p, seed):
+    rng = random.Random(seed)
+    return Graph(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < p])
+
+
+G6_MAX_N = 130  # past the 62/63 header boundary; every padding of 0-5 bits
+
+
+@st.composite
+def codec_graphs(draw):
+    n = draw(st.integers(0, G6_MAX_N))
+    return random_graph(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
+
+
+def check_codec(g, with_reference=True):
+    text = to_graph6(g)
+    assert from_graph6(text) == g
+    if with_reference:
+        assert text == ref_to_graph6(g)
+        assert ref_from_graph6(text) == g
+    assert text == nx_graph6(g)
+    back = nx.from_graph6_bytes(text.encode("ascii"))
+    assert sorted(tuple(sorted(e)) for e in back.edges()) == g.edges()
+
+
+def test_graph6_codec_matches_references_at_every_n():
+    for n in range(G6_MAX_N + 1):
+        check_codec(random_graph(n, 0.5, n))
+
+
+def test_graph6_large_round_trip_matches_networkx():
+    # the bit-at-a-time reference would take minutes here
+    check_codec(random_chordal(2000, 0.5, 1), with_reference=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_graphs())
+def test_graph6_codec_matches_references(g):
+    check_codec(g)
+
+
+#: Characters a mutation writes: the whole ASCII range (printable graph6
+#: digits, '~', whitespace, controls), a non-ASCII letter and a non-ASCII
+#: space that str.strip() removes.
+MUTATION_CHARS = st.one_of(
+    st.characters(max_codepoint=127), st.sampled_from("\u00e9\u2003")
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(codec_graphs(), st.data())
+def test_graph6_decoder_rejects_like_reference(g, data):
+    text = data.draw(st.sampled_from(["", ">>graph6<<", " "])) + to_graph6(g)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        op = data.draw(st.sampled_from(["replace", "insert", "delete"]))
+        c = data.draw(MUTATION_CHARS)
+        if op == "insert":
+            text = text[:at] + c + text[at:]
+        elif at < len(text):
+            text = text[:at] + (c if op == "replace" else "") + text[at + 1:]
+    assert decode_outcome(from_graph6, text) == decode_outcome(ref_from_graph6, text)
