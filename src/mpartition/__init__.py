@@ -20,7 +20,6 @@ from .catalogue import (
 )
 from .chordal import (
     ChordalityCertificate,
-    canonical_form,
     canonical_key,
     enumerate_connected_chordal,
     is_chordal,
@@ -58,7 +57,6 @@ from .solver import (
     extract_unbipartizable_obstruction,
     solve_certifying,
     solve_one_bipartizer,
-    solve_two_bipartizers,
     solve_unique_triangle,
     verify_certificate,
 )
@@ -77,7 +75,6 @@ __all__ = [
     "PartitionViolation",
     "VertexSet",
     "bipartizer_set",
-    "canonical_form",
     "canonical_key",
     "catalogue",
     "components",
@@ -100,7 +97,6 @@ __all__ = [
     "solve",
     "solve_certifying",
     "solve_one_bipartizer",
-    "solve_two_bipartizers",
     "solve_unique_triangle",
     "to_dot",
     "to_edgelist",

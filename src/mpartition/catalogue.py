@@ -3,13 +3,14 @@
 inside host graphs.
 
 Minimal members carry tags F1..F7 together with the infinite fan family
-Fan(k); F0, F01 and F02 are auxiliary six-vertex companions used by the
-certifying solver when no single vertex deletion makes the host bipartite
-(each contains an induced F1, so they never surface in emitted
-certificates).  The edge lists below are data; the test suite validates
-every entry mechanically (chordality, minimal-obstruction status via the
-exhaustive solver, and the structural roles the solver relies on), so a
-mistranscription cannot survive.
+Fan(k); F0, F01 and F02 are auxiliary six-vertex graphs with an empty
+bipartizer set (each contains an induced F1, so the solver never emits
+them).  Only acceptance criterion 4 of the test suite and the output of
+the ``catalogue`` and ``minimality`` CLI commands use them.  The edge
+lists below are data; the test suite validates every entry mechanically
+(chordality, minimal-obstruction status via the exhaustive solver, and
+the structural roles the solver relies on), so a mistranscription cannot
+survive.
 """
 
 from __future__ import annotations

@@ -30,10 +30,19 @@ from .graph import Graph, bits, component_masks, to_graph6
 
 @dataclass(frozen=True)
 class ChordalityCertificate:
-    """A perfect elimination ordering, or a hole (chordless cycle >= 4)."""
+    """A perfect elimination ordering, or a hole (chordless cycle >= 4).
+
+    A PEO comes with ``cliques``: for each vertex v with two or more
+    neighbours later in the PEO, in PEO order, the bitset of v and those
+    neighbours.  Each is a clique and every clique of the graph lies in
+    one of them (Gavril 1972), so the graph has a triangle iff ``cliques``
+    is non-empty and a K4 iff one of them has four members; without a K4
+    each triangle is exactly one of them.
+    """
 
     peo: tuple[int, ...] | None
     hole: tuple[int, ...] | None
+    cliques: tuple[int, ...] = ()
 
     def __bool__(self) -> bool:
         return self.peo is not None
@@ -137,6 +146,7 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
     """Perfect elimination ordering if chordal, otherwise a hole."""
     order, parent = _lex_bfs(g)
     earlier = (1 << g.n) - 1
+    cliques = []
     # The reversed order is a PEO iff, for each vertex v, the neighbours
     # visited before v are adjacent to the last of them.
     for v in reversed(order):
@@ -149,7 +159,9 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
         if bad:
             w = (bad & -bad).bit_length() - 1
             return ChordalityCertificate(None, _find_hole(g, hint=(v, p, w)))
-    return ChordalityCertificate(tuple(order[::-1]), None)
+        if later & (later - 1):
+            cliques.append(later | 1 << v)
+    return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
 
 
 def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:

@@ -6,18 +6,24 @@ pattern detection and enumeration are single word-parallel operations.
 
 The module also carries the graph interchange formats (graph6, plain edge
 lists, DOT) and the small-pattern search primitives (induced and ordinary
-subgraph embedding, bipartiteness with certificates, components).
+subgraph embedding, bipartiteness with certificates, breadth-first layers
+and components).
 """
 
 from __future__ import annotations
 
 import binascii
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator
 
 VertexSet = frozenset[int]
 
 _GRAPH6_HEADER = ">>graph6<<"
+
+#: Largest vertex count read or written: the graph6 limit (18-bit size).
+MAX_VERTICES = 258047
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -26,6 +32,11 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def lowest(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero ``mask``."""
+    return (mask & -mask).bit_length() - 1
 
 
 class Graph:
@@ -204,8 +215,8 @@ def from_graph6(text: str) -> Graph:
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no trailing newline)."""
     n = g.n
-    if n > 258047:
-        raise ValueError("graph6 encoding supported only for n <= 258047")
+    if n > MAX_VERTICES:
+        raise ValueError(f"graph6 encoding supported only for n <= {MAX_VERTICES}")
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -243,6 +254,10 @@ def from_edgelist(text: str) -> Graph:
         n, m = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"bad edge-list header: {lines[0]!r}") from None
+    if n > MAX_VERTICES:  # checked before Graph allocates n masks
+        raise ValueError(
+            f"edge list has {n} vertices, at most {MAX_VERTICES} supported"
+        )
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -426,26 +441,40 @@ def _odd_cycle_from(
     return tuple(pu + pv[-2::-1])
 
 
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components ordered by their smallest vertex."""
-    seen = 0
-    out: list[VertexSet] = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            grown = comp
-            for u in bits(frontier):
-                grown |= g.adj[u]
-            frontier = grown & ~comp
-            comp = grown
-        seen |= comp
-        out.append(frozenset(bits(comp)))
-    return out
+def bfs_layers(g: Graph, root: int, removed: int = 0) -> list[int]:
+    """Breadth-first layers of ``root``'s component in g minus the bitset
+    ``removed``: layer d is the bitset of the vertices at distance d.  Each
+    layer is the OR of its predecessor's neighbourhoods, less the vertices
+    already seen."""
+    adj = g.adj
+    frontier = 1 << root
+    seen = removed | frontier
+    layers = [frontier]
+    while True:
+        grown = 0
+        rest = frontier
+        while rest:  # bits(frontier), inlined: the hot loop of every traversal
+            low = rest & -rest
+            grown |= adj[low.bit_length() - 1]
+            rest ^= low
+        frontier = grown & ~seen
+        if not frontier:
+            return layers
+        seen |= frontier
+        layers.append(frontier)
 
 
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitsets, ordered by smallest vertex."""
-    return [sum(1 << v for v in comp) for comp in components(g)]
+    out = []
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = reduce(or_, bfs_layers(g, lowest(rest)))
+        out.append(comp)
+        rest &= ~comp
+    return out
+
+
+def components(g: Graph) -> list[VertexSet]:
+    """Connected components ordered by their smallest vertex."""
+    return [frozenset(bits(comp)) for comp in component_masks(g)]

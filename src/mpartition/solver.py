@@ -18,6 +18,11 @@ the graph directly or point at a concrete obstruction:
 * one bipartizer: the host is a hub of eccentricity two; adjacency and
   path-parity among the spoke trees is bounded by F1/F2/F4/fan checks.
 
+The set, the triangles and the first K4 are read off the cliques of the
+perfect elimination ordering that the chordality test finds
+(``ChordalityCertificate.cliques``), and every traversal is one
+breadth-first layer search on bitsets (``graph.bfs_layers``).
+
 Every certificate is re-verified before it is returned, so a structural
 bug surfaces as an internal error rather than a wrong answer.
 """
@@ -26,6 +31,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import and_, or_
 
 from .catalogue import (
     FINITE_MINIMAL_TAGS,
@@ -38,12 +45,12 @@ from .chordal import is_chordal
 from .graph import (
     Graph,
     VertexSet,
+    bfs_layers,
     bits,
-    component_masks,
     contains_induced,
     induced,
-    is_bipartite,
     is_isomorphic,
+    lowest,
 )
 from .patterns import M1, Assignment, verify_assignment
 
@@ -83,10 +90,6 @@ class M1Certificate:
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
-
-
-def _yes(assignment: list[int]) -> M1Certificate:
-    return M1Certificate(tuple(assignment), None)
 
 
 def _no(kind: ObstructionKind, vertices: set[int] | frozenset[int]) -> M1Certificate:
@@ -155,114 +158,104 @@ def _induces_fan(g: Graph, vertices: VertexSet, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _find_triangle(g: Graph, exclude: int = -1) -> tuple[int, int, int] | None:
-    """Lexicographically first triangle avoiding ``exclude``."""
-    banned = 0 if exclude < 0 else 1 << exclude
-    for u in range(g.n):
-        if banned >> u & 1:
+def _cliques(g: Graph) -> tuple[int, ...]:
+    """The PEO cliques of a chordal graph (``ChordalityCertificate``)."""
+    chordality = is_chordal(g)
+    if not chordality:
+        raise NotChordalError(chordality.hole)
+    return chordality.cliques
+
+
+def _first_clique(cliques: tuple[int, ...], size: int) -> tuple[int, ...] | None:
+    """Lexicographically first clique of ``size`` vertices: the least of
+    the ``size`` smallest members of each of ``cliques``.  Of two vertex
+    sets of one size, the lexicographically first (as sorted tuples) holds
+    the lowest vertex of their symmetric difference."""
+    best = 0
+    for c in cliques:
+        extra = c.bit_count() - size
+        if extra < 0:
             continue
-        nb_u = g.adj[u] & ~banned & ~((1 << (u + 1)) - 1)
-        for v in bits(nb_u):
-            common = g.adj[u] & g.adj[v] & ~banned & ~((1 << (v + 1)) - 1)
-            if common:
-                return u, v, (common & -common).bit_length() - 1
+        for _ in range(extra):
+            c ^= 1 << (c.bit_length() - 1)
+        diff = c ^ best
+        if not best or c & diff & -diff:
+            best = c
+    return tuple(bits(best)) if best else None
+
+
+def _peo_bipartizers(cliques: tuple[int, ...]) -> int:
+    """Bipartizer set of a chordal graph with a triangle, from its PEO
+    cliques: with a K4 it is empty, otherwise g - v is bipartite iff v
+    lies in every triangle."""
+    return 0 if max(map(int.bit_count, cliques)) > 3 else reduce(and_, cliques)
+
+
+def _layer_edge(g: Graph, removed: int) -> tuple[int, int] | None:
+    """An edge inside one breadth-first layer of g minus the vertices in
+    the ``removed`` bitset, or None: that graph is bipartite iff no layer
+    holds an edge."""
+    rest = ((1 << g.n) - 1) & ~removed
+    while rest:
+        for layer in bfs_layers(g, lowest(rest), removed):
+            rest &= ~layer
+            for u in bits(layer):
+                if g.adj[u] & layer:
+                    return u, lowest(g.adj[u] & layer)
     return None
-
-
-def _two_colourable(g: Graph, removed: int) -> bool:
-    """Is g minus the vertices in the ``removed`` bitset bipartite?"""
-    colour = {}
-    for root in range(g.n):
-        if removed >> root & 1 or root in colour:
-            continue
-        colour[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                cu = colour[u]
-                for v in bits(g.adj[u] & ~removed):
-                    if v not in colour:
-                        colour[v] = cu ^ 1
-                        nxt.append(v)
-                    elif colour[v] == cu:
-                        return False
-            queue = nxt
-    return True
 
 
 def bipartizer_set(g: Graph) -> VertexSet:
     """All vertices whose removal leaves a bipartite graph.
 
-    Matches the per-vertex definition exactly.  When the host has a
-    triangle, only its three vertices can qualify (a bipartizer must lie
-    on every odd cycle), so only those deletions are tested; triangle-free
-    non-bipartite hosts fall back to the full per-vertex scan.
+    Matches the per-vertex definition exactly.  A bipartizer lies on
+    every odd cycle, so when the ends of an edge inside a layer have a
+    common neighbour only that triangle is tested.  On a chordal host
+    they always have one: otherwise a shortest path between their
+    neighbourhoods in the earlier layers would close a hole.  Other
+    non-bipartite hosts get the full per-vertex scan.
     """
-    if is_bipartite(g):
+    edge = _layer_edge(g, 0)
+    if edge is None:
         return frozenset(range(g.n))
-    tri = _find_triangle(g)
-    if tri is None:  # odd girth >= 5: cannot happen for chordal hosts
-        return frozenset(
-            v for v in range(g.n) if _two_colourable(g, 1 << v)
-        )
-    return frozenset(v for v in tri if _two_colourable(g, 1 << v))
+    u, w = edge
+    common = g.adj[u] & g.adj[w]
+    candidates = (u, w, lowest(common)) if common else range(g.n)
+    return frozenset(v for v in candidates if _layer_edge(g, 1 << v) is None)
 
 
-def _bfs_tree(
-    g: Graph, root: int, removed: int
-) -> tuple[int, list[int], list[int]]:
-    """Component of ``root`` in g minus ``removed``: (mask, depth, parent).
-
-    ``depth[v]`` is -1 outside the component; parents follow BFS discovery
-    with ascending vertex order, so paths are deterministic.
-    """
-    depth = [-1] * g.n
-    parent = [-1] * g.n
-    depth[root] = 0
-    comp = 1 << root
-    queue = [root]
-    while queue:
-        nxt = []
-        for u in queue:
-            for v in bits(g.adj[u] & ~removed & ~comp):
-                comp |= 1 << v
-                depth[v] = depth[u] + 1
-                parent[v] = u
-                nxt.append(v)
-        queue = nxt
-    return comp, depth, parent
+def _edges_within(g: Graph, mask: int) -> list[tuple[int, int]]:
+    """Edges (u, v), u < v, with both ends in the bitset ``mask``, in
+    lexicographic order."""
+    return [
+        (u, v) for u in bits(mask) for v in bits(g.adj[u] & mask >> (u + 1) << (u + 1))
+    ]
 
 
-def _tail_edge(depth: list[int], parent: list[int], d: int) -> tuple[int, int]:
-    """Deterministic (depth d-1, depth d) tree edge: deepest vertex first."""
-    y = min(v for v, dv in enumerate(depth) if dv == d)
-    return parent[y], y
+def _tree_edge(g: Graph, layers: list[int], d: int) -> tuple[int, int]:
+    """Deterministic (depth d-1, depth d) tree edge: the lowest vertex of
+    layer d and its neighbour in layer d-1.  That neighbour is unique in
+    every use: g minus its bipartizers is a forest, and in layers from the
+    single bipartizer two such neighbours would be adjacent (chordality)
+    and close a triangle without it."""
+    y = lowest(layers[d])
+    return lowest(g.adj[y] & layers[d - 1]), y
+
+
+def _yes(n: int, part1: int, part2: int = 0) -> M1Certificate:
+    """Yes-certificate with the bitsets ``part1`` and ``part2`` in parts 1
+    and 2 and every other vertex in part 0."""
+    assignment = [0] * n
+    for v in bits(part1):
+        assignment[v] = 1
+    for v in bits(part2):
+        assignment[v] = 2
+    return M1Certificate(tuple(assignment), None)
 
 
 # ---------------------------------------------------------------------------
 # empty bipartizer set: triangle analysis
 # ---------------------------------------------------------------------------
-
-
-def _find_k4(g: Graph) -> tuple[int, ...] | None:
-    for u in range(g.n):
-        for v in bits(g.adj[u] & ~((1 << (u + 1)) - 1)):
-            common = g.adj[u] & g.adj[v]
-            for w in bits(common & ~((1 << (v + 1)) - 1)):
-                rest = common & g.adj[w] & ~((1 << (w + 1)) - 1)
-                if rest:
-                    return u, v, w, (rest & -rest).bit_length() - 1
-    return None
-
-
-def _all_triangles(g: Graph) -> list[tuple[int, int, int]]:
-    out = []
-    for u in range(g.n):
-        for v in bits(g.adj[u] & ~((1 << (u + 1)) - 1)):
-            common = g.adj[u] & g.adj[v] & ~((1 << (v + 1)) - 1)
-            out.extend((u, v, w) for w in bits(common))
-    return out
 
 
 def _induced_member_within(
@@ -279,7 +272,9 @@ def _induced_member_within(
     )
 
 
-def extract_unbipartizable_obstruction(g: Graph) -> Witness:
+def extract_unbipartizable_obstruction(
+    g: Graph, cliques: tuple[int, ...] | None = None
+) -> Witness:
     """Witness for a chordal graph whose bipartizer set is empty.
 
     A complete subgraph on four vertices is an immediate F7.  Otherwise at
@@ -289,12 +284,15 @@ def extract_unbipartizable_obstruction(g: Graph) -> Witness:
     concentrate on one vertex, or close a chorded four-cycle); a pair
     sharing one vertex combines with a triangle avoiding that vertex into
     six vertices carrying an induced F5 or F7.  With an empty bipartizer
-    set one of these configurations always exists.
+    set one of these configurations always exists.  ``cliques`` are
+    ``g``'s PEO cliques (``ChordalityCertificate``) if the caller has them.
     """
-    k4 = _find_k4(g)
+    if cliques is None:
+        cliques = _cliques(g)
+    k4 = _first_clique(cliques, 4)
     if k4 is not None:
         return ObstructionKind("F7"), frozenset(k4)
-    triangles = _all_triangles(g)
+    triangles = sorted(tuple(bits(c)) for c in cliques)
     sets = [frozenset(t) for t in triangles]
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
@@ -308,10 +306,9 @@ def extract_unbipartizable_obstruction(g: Graph) -> Witness:
             if len(shared) != 1:
                 continue
             (w,) = shared
-            third = _find_triangle(g, exclude=w)
-            if third is None:
+            c = next((t for t in sets if w not in t), None)
+            if c is None:
                 raise RuntimeError("internal error: bipartizer set not empty")
-            c = frozenset(third)
             if len(c & sets[i]) != 1 or len(c & sets[j]) != 1:
                 # two shared vertices would close a complete quadruple,
                 # excluded above
@@ -328,54 +325,40 @@ def extract_unbipartizable_obstruction(g: Graph) -> Witness:
 
 
 def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
-    """Certify a connected non-bipartite chordal graph whose bipartizer set
-    is a triangle (then it is the only triangle in the graph)."""
+    """Certify a non-bipartite chordal graph, connected but for isolated
+    vertices (left in part 0), whose bipartizer set is a triangle (then it
+    is the only triangle in the graph)."""
     b = sorted(bipartizers)
     if len(b) != 3 or not all(
         g.has_edge(u, v) for u, v in ((b[0], b[1]), (b[0], b[2]), (b[1], b[2]))
     ):
         raise RuntimeError("internal error: bipartizers do not induce a triangle")
     tri_mask = sum(1 << v for v in b)
-    trees = {v: _bfs_tree(g, v, tri_mask & ~(1 << v)) for v in b}
-    covered = 0
-    for mask, _, _ in trees.values():
-        covered |= mask
-    if covered != (1 << g.n) - 1:
+    trees = {v: bfs_layers(g, v, tri_mask & ~(1 << v)) for v in b}
+    covered = reduce(or_, (layer for layers in trees.values() for layer in layers))
+    if any(g.adj[v] for v in bits(((1 << g.n) - 1) & ~covered)):
         raise RuntimeError("internal error: triangle trees do not cover the graph")
 
-    heights = {v: max(trees[v][1]) for v in b}
+    heights = {v: len(trees[v]) - 1 for v in b}
     trivial = [v for v in b if heights[v] == 0]
     if not trivial:
-        children = [min(bits(g.adj[v] & trees[v][0])) for v in b]
+        children = [lowest(trees[v][1]) for v in b]
         return _no(ObstructionKind("F2"), set(b) | set(children))
     v0 = trivial[0]
     rest = [v for v in b if v != v0]
     if heights[rest[0]] >= 2 and heights[rest[1]] >= 2:
         wit = set(b)
         for v in rest:
-            x, y = _tail_edge(trees[v][1], trees[v][2], 2)
-            wit |= {x, y}
+            wit |= set(_tree_edge(g, trees[v], 2))
         return _no(ObstructionKind("F3"), wit)
     # taller tree becomes the depth-2 side; ties keep the lower id first
     rest.sort(key=lambda v: (-heights[v], v))
     v1, v2 = rest
     if heights[v1] >= 3:
-        x, y = _tail_edge(trees[v1][1], trees[v1][2], 3)
-        return _no(ObstructionKind("F1"), set(b) | {x, y})
-
-    assignment = [0] * g.n
-    assignment[v0] = 0
-    assignment[v1] = 2
-    assignment[v2] = 1
-    for v, d in enumerate(trees[v2][1]):
-        if d == 1:
-            assignment[v] = 0
-    for v, d in enumerate(trees[v1][1]):
-        if d == 1:
-            assignment[v] = 1
-        elif d == 2:
-            assignment[v] = 0
-    return _yes(assignment)
+        return _no(ObstructionKind("F1"), set(b) | set(_tree_edge(g, trees[v1], 3)))
+    # v0, v2's children and v1's grandchildren stay in part 0
+    t1 = trees[v1]
+    return _yes(g.n, 1 << v2 | (t1[1] if len(t1) > 1 else 0), 1 << v1)
 
 
 # ---------------------------------------------------------------------------
@@ -384,92 +367,57 @@ def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
 
 
 def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
-    """Certify a connected non-bipartite chordal graph with exactly two
-    bipartizers (they span the edge common to every triangle)."""
+    """Certify a non-bipartite chordal graph, connected but for isolated
+    vertices (left in part 0), with exactly two bipartizers (they span the
+    edge common to every triangle)."""
     b = sorted(bipartizers)
     if len(b) != 2 or not g.has_edge(b[0], b[1]):
         raise RuntimeError("internal error: bipartizer pair must span an edge")
     v1, v2 = b
     pair_mask = 1 << v1 | 1 << v2
-    apexes = sorted(bits(g.adj[v1] & g.adj[v2]))
+    apex_mask = g.adj[v1] & g.adj[v2]
+    apexes = list(bits(apex_mask))
     if len(apexes) < 2:
         raise RuntimeError("internal error: a unique triangle implies three bipartizers")
 
-    apex_trees = {v: _bfs_tree(g, v, pair_mask) for v in apexes}
+    apex_trees = {v: bfs_layers(g, v, pair_mask) for v in apexes}
     for v in apexes:
-        depth, parent = apex_trees[v][1], apex_trees[v][2]
-        if max(depth) >= 2:
+        if len(apex_trees[v]) > 2:
             other = min(a for a in apexes if a != v)
-            x, y = _tail_edge(depth, parent, 2)
-            return _no(ObstructionKind("F1"), {v1, v2, other, x, y})
+            return _no(
+                ObstructionKind("F1"),
+                {v1, v2, other, *_tree_edge(g, apex_trees[v], 2)},
+            )
 
-    apex_mask = sum(1 << v for v in apexes)
+    t1 = bfs_layers(g, v1, apex_mask | 1 << v2)
+    t2 = bfs_layers(g, v2, apex_mask | 1 << v1)
+    h1, h2 = len(t1) - 1, len(t2) - 1
 
-    def side_tree(root: int, other: int):
-        return _bfs_tree(g, root, apex_mask | 1 << other)
-
-    t1, t2 = side_tree(v1, v2), side_tree(v2, v1)
-    h1, h2 = max(t1[1]), max(t2[1])
-
-    tall_apexes = [v for v in apexes if max(apex_trees[v][1]) == 1]
+    tall_apexes = [v for v in apexes if len(apex_trees[v]) == 2]
     if tall_apexes:
         v0 = tall_apexes[0]
         if h1 >= 1 and h2 >= 1:
-            wit = {
-                v1,
-                v2,
-                v0,
-                min(bits(g.adj[v0] & apex_trees[v0][0])),
-                min(bits(g.adj[v1] & t1[0])),
-                min(bits(g.adj[v2] & t2[0])),
-            }
+            wit = {v1, v2, v0, lowest(apex_trees[v0][1]), lowest(t1[1]), lowest(t2[1])}
             return _no(ObstructionKind("F2"), wit)
         if h2 >= 1:  # keep the trivial side at v2
             v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
         if h1 >= 3:
-            x, y = _tail_edge(t1[1], t1[2], 3)
-            return _no(ObstructionKind("F1"), {v1, v2, apexes[0], x, y})
-        assignment = [0] * g.n
-        assignment[v1] = 2
-        assignment[v2] = 0
-        for v in apexes:
-            assignment[v] = 1
-            for u, d in enumerate(apex_trees[v][1]):
-                if d == 1:
-                    assignment[u] = 0
-        for u, d in enumerate(t1[1]):
-            if d == 1:
-                assignment[u] = 1
-            elif d == 2:
-                assignment[u] = 0
-        return _yes(assignment)
+            return _no(
+                ObstructionKind("F1"), {v1, v2, apexes[0], *_tree_edge(g, t1, 3)}
+            )
+        # v2, the apexes' children and v1's grandchildren stay in part 0
+        return _yes(g.n, apex_mask | (t1[1] if h1 else 0), 1 << v1)
 
     # every apex is bare: bound the two side trees by F3 then F1
     if h1 >= 2 and h2 >= 2:
-        wit = {v1, v2, apexes[0]}
-        for t in (t1, t2):
-            x, y = _tail_edge(t[1], t[2], 2)
-            wit |= {x, y}
+        wit = {v1, v2, apexes[0], *_tree_edge(g, t1, 2), *_tree_edge(g, t2, 2)}
         return _no(ObstructionKind("F3"), wit)
     if h2 >= 2:  # keep the shallow side at v2
         v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
     if h1 >= 3:
-        x, y = _tail_edge(t1[1], t1[2], 3)
-        return _no(ObstructionKind("F1"), {v1, v2, apexes[0], x, y})
-    assignment = [0] * g.n
-    assignment[v1] = 2
-    assignment[v2] = 1
-    for v in apexes:
-        assignment[v] = 0
-    for u, d in enumerate(t2[1]):
-        if d == 1:
-            assignment[u] = 0
-    for u, d in enumerate(t1[1]):
-        if d == 1:
-            assignment[u] = 1
-        elif d == 2:
-            assignment[u] = 0
-    return _yes(assignment)
+        return _no(ObstructionKind("F1"), {v1, v2, apexes[0], *_tree_edge(g, t1, 3)})
+    # the apexes, v2's children and v1's grandchildren stay in part 0
+    return _yes(g.n, 1 << v2 | (t1[1] if h1 else 0), 1 << v1)
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +426,28 @@ def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
 
 
 def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
-    """Certify a connected non-bipartite chordal graph whose only
-    bipartizer is ``hub``."""
-    full = (1 << g.n) - 1
-    _, dist, parent = _bfs_tree(g, hub, 0)
+    """Certify a non-bipartite chordal graph, connected but for isolated
+    vertices (left in part 0), whose only bipartizer is ``hub``."""
+    layers = bfs_layers(g, hub)
+    spoke_mask = layers[1] if len(layers) > 1 else 0
+    outer_mask = layers[2] if len(layers) > 2 else 0
+    spokes = list(bits(spoke_mask))
 
-    far = [v for v, d in enumerate(dist) if d >= 3]
-    if far:
-        x3 = min(v for v in far if dist[v] == 3)
-        x2 = parent[x3]
-        x1 = parent[x2]
-        tri = _find_triangle(g, exclude=x1)
+    if len(layers) > 3:
+        x2, x3 = _tree_edge(g, layers, 3)
+        x1 = lowest(g.adj[x2] & spoke_mask)
+        # every triangle is the hub and a spoke edge
+        tri = min(
+            (
+                sorted((hub, u, w))
+                for u, w in _edges_within(g, spoke_mask)
+                if x1 not in (u, w)
+            ),
+            default=None,
+        )
         if tri is None:
             raise RuntimeError("internal error: hub vertex is not the only bipartizer")
         return _no(ObstructionKind("F1"), set(tri) | {x2, x3})
-
-    spokes = [v for v, d in enumerate(dist) if d == 1]
-    outer_mask = sum(1 << v for v, d in enumerate(dist) if d == 2)
-    spoke_mask = sum(1 << v for v in spokes)
 
     # structure forced by chordality and the unique bipartizer
     for v in bits(outer_mask):
@@ -509,18 +461,10 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
     for u in spokes:
         pendant = g.adj[u] & outer_mask
         if pendant:
-            attach[u] = (pendant & -pendant).bit_length() - 1
+            attach[u] = lowest(pendant)
             attach_mask |= 1 << u
 
-    spoke_edges = [
-        (u, v)
-        for u in spokes
-        for v in bits(g.adj[u] & spoke_mask & ~((1 << (u + 1)) - 1))
-    ]
-
-    for u, w in spoke_edges:
-        if u not in attach or w not in attach:
-            continue
+    for u, w in _edges_within(g, attach_mask):
         # adjacent spokes both holding pendants: an F2 via any third spoke
         # clear of both, otherwise second neighbours on both sides give F4
         loose = [
@@ -532,6 +476,7 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             return _no(
                 ObstructionKind("F2"), {hub, u, w, loose[0], attach[u], attach[w]}
             )
+        spoke_edges = _edges_within(g, spoke_mask)
         eu = next((e for e in spoke_edges if u not in e), None)
         ew = next((e for e in spoke_edges if w not in e), None)
         if eu is None or ew is None or w not in eu or u not in ew:
@@ -542,32 +487,33 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             ObstructionKind("F4"), {hub, u, w, attach[u], attach[w], pu, pw}
         )
 
-    assignment = [0] * g.n  # outer (pendant) vertices stay in part 0
-    assignment[hub] = 2
-
+    # spoke trees: even depth from the root in part 1, odd depth and the
+    # outer (pendant) vertices in part 0
+    outside = ~spoke_mask
+    part1 = 0
     remaining = spoke_mask
     while remaining:
-        seed = (remaining & -remaining).bit_length() - 1
-        comp, cdepth, cparent = _bfs_tree(g, seed, full & ~spoke_mask)
-        attached_here = list(bits(comp & attach_mask))
-        root = attached_here[0] if attached_here else seed
+        seed = lowest(remaining)
+        tree = bfs_layers(g, seed, outside)
+        comp = reduce(or_, tree)
+        attached_here = comp & attach_mask
+        root = lowest(attached_here) if attached_here else seed
         if root != seed:
-            comp, cdepth, cparent = _bfs_tree(g, root, full & ~spoke_mask)
-        odd = [v for v in attached_here if cdepth[v] % 2 == 1]
-        if odd:
-            w = odd[0]
-            path = [w]
-            while path[-1] != root:
-                path.append(cparent[path[-1]])
-            d = len(path) - 1
-            if d < 3 or d % 2 == 0:
+            tree = bfs_layers(g, root, outside)
+        odd = reduce(or_, tree[1::2], 0)
+        if attached_here & odd:
+            w = lowest(attached_here & odd)
+            d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
+            if d < 3:
                 raise RuntimeError("internal error: adjacent pendant spokes missed")
+            path = [w]  # up the spoke tree to the root
+            for layer in reversed(tree[:d]):
+                path.append(lowest(g.adj[path[-1]] & layer))
             wit = {hub, attach[root], attach[w]} | set(path)
             return _no(fan_kind((d + 1) // 2), wit)
-        for v in bits(comp):
-            assignment[v] = 1 if cdepth[v] % 2 == 0 else 0
+        part1 |= comp & ~odd
         remaining &= ~comp
-    return _yes(assignment)
+    return _yes(g.n, part1, 1 << hub)
 
 
 # ---------------------------------------------------------------------------
@@ -575,47 +521,37 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _certify_connected(g: Graph) -> M1Certificate:
-    b = bipartizer_set(g)
+def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
+    """Certificate for a chordal graph with the given PEO cliques."""
+    full = (1 << g.n) - 1
+    if not cliques:
+        # a triangle-free chordal graph is a forest: 2-colour each tree by
+        # depth parity from its lowest vertex
+        odd = 0
+        rest = full
+        while rest:
+            tree = bfs_layers(g, lowest(rest))
+            for d, layer in enumerate(tree):
+                rest ^= layer
+                if d % 2:
+                    odd |= layer
+        return _yes(g.n, odd)
+    tri = _first_clique(cliques, 3)
+    comp = reduce(or_, bfs_layers(g, tri[0]))
+    # the lowest vertex outside the triangle's component with an edge
+    # starts the first other component that has one
+    for u in bits(full & ~comp):
+        if g.adj[u]:
+            return _no(ObstructionKind("F1"), set(tri) | {u, lowest(g.adj[u])})
+    # any other component is an isolated vertex: the cases leave it in part 0
+    b = _peo_bipartizers(cliques)
     if not b:
-        return _no(*extract_unbipartizable_obstruction(g))
-    if len(b) == 3:
-        return solve_unique_triangle(g, b)
-    if len(b) == 2:
-        return solve_two_bipartizers(g, b)
-    if len(b) == 1:
-        return solve_one_bipartizer(g, next(iter(b)))
-    raise RuntimeError("internal error: more than three bipartizers without bipartiteness")
-
-
-def _certify(g: Graph) -> M1Certificate:
-    bip = is_bipartite(g)
-    if bip:
-        return _yes(list(bip.colouring))
-    comps = component_masks(g)
-    if len(comps) == 1:
-        return _certify_connected(g)
-    tri = _find_triangle(g)
-    assert tri is not None
-    tri_comp = next(c for c in comps if c >> tri[0] & 1)
-    for comp in comps:
-        if comp == tri_comp:
-            continue
-        for u in bits(comp):
-            inner = g.adj[u] & comp & ~((1 << (u + 1)) - 1)
-            if inner:
-                v = (inner & -inner).bit_length() - 1
-                return _no(ObstructionKind("F1"), set(tri) | {u, v})
-    # all other components are isolated vertices: park them in part 0
-    verts = sorted(bits(tri_comp))
-    sub_cert = _certify_connected(induced(g, verts))
-    if sub_cert.assignment is not None:
-        assignment = [0] * g.n
-        for i, v in enumerate(verts):
-            assignment[v] = sub_cert.assignment[i]
-        return _yes(assignment)
-    kind, wit = sub_cert.witness
-    return _no(kind, {verts[i] for i in wit})
+        return _no(*extract_unbipartizable_obstruction(g, cliques))
+    if b.bit_count() == 3:
+        return solve_unique_triangle(g, frozenset(bits(b)))
+    if b.bit_count() == 2:
+        return solve_two_bipartizers(g, frozenset(bits(b)))
+    return solve_one_bipartizer(g, lowest(b))
 
 
 def solve_certifying(g: Graph) -> M1Certificate:
@@ -623,12 +559,11 @@ def solve_certifying(g: Graph) -> M1Certificate:
 
     Raises :class:`NotChordalError` (carrying a hole) on non-chordal input.
     Output is deterministic for a fixed labelled input, and is re-verified
-    internally before being returned.
+    internally before being returned.  The case analysis reads triangles,
+    K4s and the bipartizer set off the cliques of the perfect elimination
+    ordering that the chordality test finds.
     """
-    chordality = is_chordal(g)
-    if not chordality:
-        raise NotChordalError(chordality.hole)
-    cert = _certify(g)
+    cert = _certify(g, _cliques(g))
     problem = verify_certificate(g, cert)
     if problem is not None:
         raise RuntimeError(f"internal error: produced invalid certificate: {problem}")

@@ -4,7 +4,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpartition import fan, to_graph6
@@ -190,6 +190,69 @@ def test_verify_is_total_on_json_values(fan2_path, doc):
     finally:
         sys.stdin = saved
     assert code in (1, 2)
+
+
+def test_check_rejects_huge_edge_list_before_allocating(capsys, monkeypatch):
+    # the header alone asks for 10**9 vertices: rejected before Graph runs
+    def no_graph(*args):
+        raise AssertionError("Graph built for an over-limit edge list")
+
+    monkeypatch.setattr("mpartition.graph.Graph", no_graph)
+    monkeypatch.setattr("sys.stdin", io.StringIO("1000000000 0\n"))
+    code, out, err = run(capsys, "check", "--format", "edgelist", "-")
+    assert code == 2 and out == ""
+    assert err == "error: edge list has 1000000000 vertices, at most 258047 supported\n"
+
+
+@st.composite
+def _edgelist_texts(draw):
+    """An edge list of up to 8 vertices, often with an id out of range, a
+    self-loop or an edge count off by one, then up to three characters
+    replaced, inserted or deleted; or any text at all."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.text(max_size=60))
+    n = draw(st.integers(0, 8))
+    if n >= 2 and draw(st.booleans()):
+        vertex = st.integers(0, n - 1)
+        pair = st.tuples(vertex, vertex).filter(lambda p: p[0] != p[1])
+    else:
+        pair = st.tuples(st.integers(-1, n), st.integers(-1, n))
+    pairs = draw(st.lists(pair, max_size=20))
+    m = len(pairs) + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    text = "\n".join([f"{n} {m}"] + [f"{u} {v}" for u, v in pairs]) + "\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        c = draw(st.characters(max_codepoint=127) | st.sampled_from("\u0663\u2003"))
+        keep = draw(st.sampled_from([at, at + 1]))  # insert or replace/delete
+        text = text[:at] + draw(st.sampled_from(["", c])) + text[keep:]
+    return text
+
+
+def _header_vertices(text):
+    """The vertex count ``from_edgelist`` would read, or None."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    try:
+        n, _ = map(int, lines[0].split())
+    except (IndexError, ValueError):
+        return None
+    return n
+
+
+@settings(max_examples=400, deadline=None)
+@given(_edgelist_texts())
+def test_check_is_total_on_edge_list_text(text):
+    n = _header_vertices(text)
+    assume(n is None or n <= 64)  # no test builds a large graph
+    saved = sys.stdin
+    sys.stdin = io.StringIO(text)
+    err = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["check", "--format", "edgelist", "-"])
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_obstruction_scan(tmp_path, capsys):

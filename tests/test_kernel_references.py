@@ -2,12 +2,18 @@
 
 The references below are the straightforward pair-scanning versions of
 ``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
-``induced``, and the bit-at-a-time graph6 codec.  The library versions
-must return exactly the same orders, holes, first violations, subgraphs,
-graph6 text and decode errors on every input.
+``induced``, the bit-at-a-time graph6 codec, and the case analysis that
+scanned for triangles and K4s and ran one BFS variant per need.  The
+library versions must return exactly the same orders, holes, first
+violations, subgraphs, graph6 text, decode errors, triangles, K4s,
+bipartizer sets and certificate JSON on every input.
 """
 
+import importlib.util
 import random
+import sys
+from functools import reduce
+from pathlib import Path
 
 import networkx as nx
 from hypothesis import given, settings
@@ -17,6 +23,12 @@ from mpartition import (
     M1,
     Graph,
     Graph6Error,
+    M1Certificate,
+    ObstructionKind,
+    VertexSet,
+    bipartizer_set,
+    fan_kind,
+    is_bipartite,
     Pattern,
     PartitionViolation,
     from_graph6,
@@ -28,7 +40,14 @@ from mpartition import (
     verify_assignment,
 )
 from mpartition.chordal import _find_hole, lex_bfs
-from mpartition.graph import bits, disjoint_union
+from mpartition.graph import bits, component_masks, disjoint_union
+from mpartition.solver import (
+    Witness,
+    _first_clique,
+    _induced_member_within,
+    _no,
+    _peo_bipartizers,
+)
 from mpartition.patterns import ONE, STAR
 
 #: A pattern with clique parts (1 on the diagonal) and a 0 off it.
@@ -378,3 +397,511 @@ def test_graph6_decoder_rejects_like_reference(g, data):
         elif at < len(text):
             text = text[:at] + (c if op == "replace" else "") + text[at + 1:]
     assert decode_outcome(from_graph6, text) == decode_outcome(ref_from_graph6, text)
+
+
+# ---------------------------------------------------------------------------
+# case analysis: triangle and K4 scans, per-need BFS variants, and the
+# solver built on them
+# ---------------------------------------------------------------------------
+
+
+def ref_yes(assignment):
+    return M1Certificate(tuple(assignment), None)
+
+
+def ref_find_triangle(g: Graph, exclude: int = -1) -> tuple[int, int, int] | None:
+    """Lexicographically first triangle avoiding ``exclude``."""
+    banned = 0 if exclude < 0 else 1 << exclude
+    for u in range(g.n):
+        if banned >> u & 1:
+            continue
+        nb_u = g.adj[u] & ~banned & ~((1 << (u + 1)) - 1)
+        for v in bits(nb_u):
+            common = g.adj[u] & g.adj[v] & ~banned & ~((1 << (v + 1)) - 1)
+            if common:
+                return u, v, (common & -common).bit_length() - 1
+    return None
+
+
+def ref_two_colourable(g: Graph, removed: int) -> bool:
+    """Is g minus the vertices in the ``removed`` bitset bipartite?"""
+    colour = {}
+    for root in range(g.n):
+        if removed >> root & 1 or root in colour:
+            continue
+        colour[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                cu = colour[u]
+                for v in bits(g.adj[u] & ~removed):
+                    if v not in colour:
+                        colour[v] = cu ^ 1
+                        nxt.append(v)
+                    elif colour[v] == cu:
+                        return False
+            queue = nxt
+    return True
+
+
+def ref_bipartizer_set(g: Graph) -> VertexSet:
+    """All vertices whose removal leaves a bipartite graph.
+
+    Matches the per-vertex definition exactly.  When the host has a
+    triangle, only its three vertices can qualify (a bipartizer must lie
+    on every odd cycle), so only those deletions are tested; triangle-free
+    non-bipartite hosts fall back to the full per-vertex scan.
+    """
+    if is_bipartite(g):
+        return frozenset(range(g.n))
+    tri = ref_find_triangle(g)
+    if tri is None:  # odd girth >= 5: cannot happen for chordal hosts
+        return frozenset(
+            v for v in range(g.n) if ref_two_colourable(g, 1 << v)
+        )
+    return frozenset(v for v in tri if ref_two_colourable(g, 1 << v))
+
+
+def ref_bfs_tree(
+    g: Graph, root: int, removed: int
+) -> tuple[int, list[int], list[int]]:
+    """Component of ``root`` in g minus ``removed``: (mask, depth, parent).
+
+    ``depth[v]`` is -1 outside the component; parents follow BFS discovery
+    with ascending vertex order, so paths are deterministic.
+    """
+    depth = [-1] * g.n
+    parent = [-1] * g.n
+    depth[root] = 0
+    comp = 1 << root
+    queue = [root]
+    while queue:
+        nxt = []
+        for u in queue:
+            for v in bits(g.adj[u] & ~removed & ~comp):
+                comp |= 1 << v
+                depth[v] = depth[u] + 1
+                parent[v] = u
+                nxt.append(v)
+        queue = nxt
+    return comp, depth, parent
+
+
+def ref_tail_edge(depth: list[int], parent: list[int], d: int) -> tuple[int, int]:
+    """Deterministic (depth d-1, depth d) tree edge: deepest vertex first."""
+    y = min(v for v, dv in enumerate(depth) if dv == d)
+    return parent[y], y
+
+
+def ref_find_k4(g: Graph) -> tuple[int, ...] | None:
+    for u in range(g.n):
+        for v in bits(g.adj[u] & ~((1 << (u + 1)) - 1)):
+            common = g.adj[u] & g.adj[v]
+            for w in bits(common & ~((1 << (v + 1)) - 1)):
+                rest = common & g.adj[w] & ~((1 << (w + 1)) - 1)
+                if rest:
+                    return u, v, w, (rest & -rest).bit_length() - 1
+    return None
+
+
+def ref_all_triangles(g: Graph) -> list[tuple[int, int, int]]:
+    out = []
+    for u in range(g.n):
+        for v in bits(g.adj[u] & ~((1 << (u + 1)) - 1)):
+            common = g.adj[u] & g.adj[v] & ~((1 << (v + 1)) - 1)
+            out.extend((u, v, w) for w in bits(common))
+    return out
+
+
+def ref_extract_unbipartizable_obstruction(g: Graph) -> Witness:
+    """Witness for a chordal graph whose bipartizer set is empty.
+
+    A complete subgraph on four vertices is an immediate F7.  Otherwise at
+    most one triangle closes over each vertex, so all triangles are listed
+    and compared pairwise: a disjoint pair carries an induced F1, F6 or F7
+    among its six vertices (the connecting edges either miss a matching,
+    concentrate on one vertex, or close a chorded four-cycle); a pair
+    sharing one vertex combines with a triangle avoiding that vertex into
+    six vertices carrying an induced F5 or F7.  With an empty bipartizer
+    set one of these configurations always exists.
+    """
+    k4 = ref_find_k4(g)
+    if k4 is not None:
+        return ObstructionKind("F7"), frozenset(k4)
+    triangles = ref_all_triangles(g)
+    sets = [frozenset(t) for t in triangles]
+    for i in range(len(triangles)):
+        for j in range(i + 1, len(triangles)):
+            if not sets[i] & sets[j]:
+                return _induced_member_within(
+                    g, set(sets[i] | sets[j]), ("F7", "F6", "F1")
+                )
+    for i in range(len(triangles)):
+        for j in range(i + 1, len(triangles)):
+            shared = sets[i] & sets[j]
+            if len(shared) != 1:
+                continue
+            (w,) = shared
+            third = ref_find_triangle(g, exclude=w)
+            if third is None:
+                raise RuntimeError("internal error: bipartizer set not empty")
+            c = frozenset(third)
+            if len(c & sets[i]) != 1 or len(c & sets[j]) != 1:
+                # two shared vertices would close a complete quadruple,
+                # excluded above
+                raise RuntimeError("internal error: unexpected triangle overlap")
+            return _induced_member_within(
+                g, set(sets[i] | sets[j] | c), ("F7", "F5")
+            )
+    raise RuntimeError("internal error: no obstruction found with empty bipartizer set")
+
+
+def ref_solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
+    """Certify a connected non-bipartite chordal graph whose bipartizer set
+    is a triangle (then it is the only triangle in the graph)."""
+    b = sorted(bipartizers)
+    if len(b) != 3 or not all(
+        g.has_edge(u, v) for u, v in ((b[0], b[1]), (b[0], b[2]), (b[1], b[2]))
+    ):
+        raise RuntimeError("internal error: bipartizers do not induce a triangle")
+    tri_mask = sum(1 << v for v in b)
+    trees = {v: ref_bfs_tree(g, v, tri_mask & ~(1 << v)) for v in b}
+    covered = 0
+    for mask, _, _ in trees.values():
+        covered |= mask
+    if covered != (1 << g.n) - 1:
+        raise RuntimeError("internal error: triangle trees do not cover the graph")
+
+    heights = {v: max(trees[v][1]) for v in b}
+    trivial = [v for v in b if heights[v] == 0]
+    if not trivial:
+        children = [min(bits(g.adj[v] & trees[v][0])) for v in b]
+        return _no(ObstructionKind("F2"), set(b) | set(children))
+    v0 = trivial[0]
+    rest = [v for v in b if v != v0]
+    if heights[rest[0]] >= 2 and heights[rest[1]] >= 2:
+        wit = set(b)
+        for v in rest:
+            x, y = ref_tail_edge(trees[v][1], trees[v][2], 2)
+            wit |= {x, y}
+        return _no(ObstructionKind("F3"), wit)
+    # taller tree becomes the depth-2 side; ties keep the lower id first
+    rest.sort(key=lambda v: (-heights[v], v))
+    v1, v2 = rest
+    if heights[v1] >= 3:
+        x, y = ref_tail_edge(trees[v1][1], trees[v1][2], 3)
+        return _no(ObstructionKind("F1"), set(b) | {x, y})
+
+    assignment = [0] * g.n
+    assignment[v0] = 0
+    assignment[v1] = 2
+    assignment[v2] = 1
+    for v, d in enumerate(trees[v2][1]):
+        if d == 1:
+            assignment[v] = 0
+    for v, d in enumerate(trees[v1][1]):
+        if d == 1:
+            assignment[v] = 1
+        elif d == 2:
+            assignment[v] = 0
+    return ref_yes(assignment)
+
+
+def ref_solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
+    """Certify a connected non-bipartite chordal graph with exactly two
+    bipartizers (they span the edge common to every triangle)."""
+    b = sorted(bipartizers)
+    if len(b) != 2 or not g.has_edge(b[0], b[1]):
+        raise RuntimeError("internal error: bipartizer pair must span an edge")
+    v1, v2 = b
+    pair_mask = 1 << v1 | 1 << v2
+    apexes = sorted(bits(g.adj[v1] & g.adj[v2]))
+    if len(apexes) < 2:
+        raise RuntimeError("internal error: a unique triangle implies three bipartizers")
+
+    apex_trees = {v: ref_bfs_tree(g, v, pair_mask) for v in apexes}
+    for v in apexes:
+        depth, parent = apex_trees[v][1], apex_trees[v][2]
+        if max(depth) >= 2:
+            other = min(a for a in apexes if a != v)
+            x, y = ref_tail_edge(depth, parent, 2)
+            return _no(ObstructionKind("F1"), {v1, v2, other, x, y})
+
+    apex_mask = sum(1 << v for v in apexes)
+
+    def side_tree(root: int, other: int):
+        return ref_bfs_tree(g, root, apex_mask | 1 << other)
+
+    t1, t2 = side_tree(v1, v2), side_tree(v2, v1)
+    h1, h2 = max(t1[1]), max(t2[1])
+
+    tall_apexes = [v for v in apexes if max(apex_trees[v][1]) == 1]
+    if tall_apexes:
+        v0 = tall_apexes[0]
+        if h1 >= 1 and h2 >= 1:
+            wit = {
+                v1,
+                v2,
+                v0,
+                min(bits(g.adj[v0] & apex_trees[v0][0])),
+                min(bits(g.adj[v1] & t1[0])),
+                min(bits(g.adj[v2] & t2[0])),
+            }
+            return _no(ObstructionKind("F2"), wit)
+        if h2 >= 1:  # keep the trivial side at v2
+            v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
+        if h1 >= 3:
+            x, y = ref_tail_edge(t1[1], t1[2], 3)
+            return _no(ObstructionKind("F1"), {v1, v2, apexes[0], x, y})
+        assignment = [0] * g.n
+        assignment[v1] = 2
+        assignment[v2] = 0
+        for v in apexes:
+            assignment[v] = 1
+            for u, d in enumerate(apex_trees[v][1]):
+                if d == 1:
+                    assignment[u] = 0
+        for u, d in enumerate(t1[1]):
+            if d == 1:
+                assignment[u] = 1
+            elif d == 2:
+                assignment[u] = 0
+        return ref_yes(assignment)
+
+    # every apex is bare: bound the two side trees by F3 then F1
+    if h1 >= 2 and h2 >= 2:
+        wit = {v1, v2, apexes[0]}
+        for t in (t1, t2):
+            x, y = ref_tail_edge(t[1], t[2], 2)
+            wit |= {x, y}
+        return _no(ObstructionKind("F3"), wit)
+    if h2 >= 2:  # keep the shallow side at v2
+        v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
+    if h1 >= 3:
+        x, y = ref_tail_edge(t1[1], t1[2], 3)
+        return _no(ObstructionKind("F1"), {v1, v2, apexes[0], x, y})
+    assignment = [0] * g.n
+    assignment[v1] = 2
+    assignment[v2] = 1
+    for v in apexes:
+        assignment[v] = 0
+    for u, d in enumerate(t2[1]):
+        if d == 1:
+            assignment[u] = 0
+    for u, d in enumerate(t1[1]):
+        if d == 1:
+            assignment[u] = 1
+        elif d == 2:
+            assignment[u] = 0
+    return ref_yes(assignment)
+
+
+def ref_solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
+    """Certify a connected non-bipartite chordal graph whose only
+    bipartizer is ``hub``."""
+    full = (1 << g.n) - 1
+    _, dist, parent = ref_bfs_tree(g, hub, 0)
+
+    far = [v for v, d in enumerate(dist) if d >= 3]
+    if far:
+        x3 = min(v for v in far if dist[v] == 3)
+        x2 = parent[x3]
+        x1 = parent[x2]
+        tri = ref_find_triangle(g, exclude=x1)
+        if tri is None:
+            raise RuntimeError("internal error: hub vertex is not the only bipartizer")
+        return _no(ObstructionKind("F1"), set(tri) | {x2, x3})
+
+    spokes = [v for v, d in enumerate(dist) if d == 1]
+    outer_mask = sum(1 << v for v, d in enumerate(dist) if d == 2)
+    spoke_mask = sum(1 << v for v in spokes)
+
+    # structure forced by chordality and the unique bipartizer
+    for v in bits(outer_mask):
+        if g.adj[v] & outer_mask:
+            raise RuntimeError("internal error: outer layer is not independent")
+        if g.degree(v) != 1:
+            raise RuntimeError("internal error: outer vertices must be pendant")
+
+    attach: dict[int, int] = {}
+    attach_mask = 0
+    for u in spokes:
+        pendant = g.adj[u] & outer_mask
+        if pendant:
+            attach[u] = (pendant & -pendant).bit_length() - 1
+            attach_mask |= 1 << u
+
+    spoke_edges = [
+        (u, v)
+        for u in spokes
+        for v in bits(g.adj[u] & spoke_mask & ~((1 << (u + 1)) - 1))
+    ]
+
+    for u, w in spoke_edges:
+        if u not in attach or w not in attach:
+            continue
+        # adjacent spokes both holding pendants: an F2 via any third spoke
+        # clear of both, otherwise second neighbours on both sides give F4
+        loose = [
+            x
+            for x in spokes
+            if x not in (u, w) and not g.has_edge(x, u) and not g.has_edge(x, w)
+        ]
+        if loose:
+            return _no(
+                ObstructionKind("F2"), {hub, u, w, loose[0], attach[u], attach[w]}
+            )
+        eu = next((e for e in spoke_edges if u not in e), None)
+        ew = next((e for e in spoke_edges if w not in e), None)
+        if eu is None or ew is None or w not in eu or u not in ew:
+            raise RuntimeError("internal error: spoke forest structure violated")
+        pw = eu[0] if eu[1] == w else eu[1]
+        pu = ew[0] if ew[1] == u else ew[1]
+        return _no(
+            ObstructionKind("F4"), {hub, u, w, attach[u], attach[w], pu, pw}
+        )
+
+    assignment = [0] * g.n  # outer (pendant) vertices stay in part 0
+    assignment[hub] = 2
+
+    remaining = spoke_mask
+    while remaining:
+        seed = (remaining & -remaining).bit_length() - 1
+        comp, cdepth, cparent = ref_bfs_tree(g, seed, full & ~spoke_mask)
+        attached_here = list(bits(comp & attach_mask))
+        root = attached_here[0] if attached_here else seed
+        if root != seed:
+            comp, cdepth, cparent = ref_bfs_tree(g, root, full & ~spoke_mask)
+        odd = [v for v in attached_here if cdepth[v] % 2 == 1]
+        if odd:
+            w = odd[0]
+            path = [w]
+            while path[-1] != root:
+                path.append(cparent[path[-1]])
+            d = len(path) - 1
+            if d < 3 or d % 2 == 0:
+                raise RuntimeError("internal error: adjacent pendant spokes missed")
+            wit = {hub, attach[root], attach[w]} | set(path)
+            return _no(fan_kind((d + 1) // 2), wit)
+        for v in bits(comp):
+            assignment[v] = 1 if cdepth[v] % 2 == 0 else 0
+        remaining &= ~comp
+    return ref_yes(assignment)
+
+
+def ref_certify_connected(g: Graph) -> M1Certificate:
+    b = ref_bipartizer_set(g)
+    if not b:
+        return _no(*ref_extract_unbipartizable_obstruction(g))
+    if len(b) == 3:
+        return ref_solve_unique_triangle(g, b)
+    if len(b) == 2:
+        return ref_solve_two_bipartizers(g, b)
+    if len(b) == 1:
+        return ref_solve_one_bipartizer(g, next(iter(b)))
+    raise RuntimeError("internal error: more than three bipartizers without bipartiteness")
+
+
+def ref_certify(g: Graph) -> M1Certificate:
+    bip = is_bipartite(g)
+    if bip:
+        return ref_yes(list(bip.colouring))
+    comps = component_masks(g)
+    if len(comps) == 1:
+        return ref_certify_connected(g)
+    tri = ref_find_triangle(g)
+    assert tri is not None
+    tri_comp = next(c for c in comps if c >> tri[0] & 1)
+    for comp in comps:
+        if comp == tri_comp:
+            continue
+        for u in bits(comp):
+            inner = g.adj[u] & comp & ~((1 << (u + 1)) - 1)
+            if inner:
+                v = (inner & -inner).bit_length() - 1
+                return _no(ObstructionKind("F1"), set(tri) | {u, v})
+    # all other components are isolated vertices: park them in part 0
+    verts = sorted(bits(tri_comp))
+    sub_cert = ref_certify_connected(induced(g, verts))
+    if sub_cert.assignment is not None:
+        assignment = [0] * g.n
+        for i, v in enumerate(verts):
+            assignment[v] = sub_cert.assignment[i]
+        return ref_yes(assignment)
+    kind, wit = sub_cert.witness
+    return _no(kind, {verts[i] for i in wit})
+
+
+@st.composite
+def case_analysis_graphs(draw):
+    """random_chordal graphs of up to 60 vertices at bias 0.3-1.0 (half of
+    them 0.95-1.0, where few triangles leave one to three bipartizers):
+    alone, beside isolated vertices and perhaps a tree, in any order, or
+    with one to four K4s made by joining a new vertex to a triangle."""
+    seeds = st.integers(0, 2**32)
+    bias = draw(st.floats(0.3, 1.0) | st.floats(0.95, 1.0))
+    g = random_chordal(draw(st.integers(1, 60)), bias, draw(seeds))
+    how = draw(st.sampled_from(["alone", "union", "k4"]))
+    if how == "union":
+        parts = [g, Graph(draw(st.integers(0, 5)))]
+        if draw(st.booleans()):
+            parts.append(random_chordal(draw(st.integers(1, 15)), 1.0, draw(seeds)))
+        g = reduce(disjoint_union, draw(st.permutations(parts)))
+    elif how == "k4":
+        for _ in range(draw(st.integers(1, 4))):
+            triangles = ref_all_triangles(g)
+            if not triangles:
+                break
+            tri = draw(st.sampled_from(triangles))
+            g = Graph(g.n + 1, g.edges() + [(v, g.n) for v in tri])
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(case_analysis_graphs())
+def test_case_analysis_matches_reference(g):
+    cliques = is_chordal(g).cliques
+    assert _first_clique(cliques, 4) == ref_find_k4(g)
+    assert _first_clique(cliques, 3) == ref_find_triangle(g)
+    for w in range(g.n):  # C_v minus w is still a clique
+        avoiding = tuple(c & ~(1 << w) for c in cliques)
+        assert _first_clique(avoiding, 3) == ref_find_triangle(g, exclude=w)
+    if ref_find_k4(g) is None:
+        assert sorted(tuple(bits(c)) for c in cliques) == ref_all_triangles(g)
+    public = bipartizer_set(g)
+    assert public == ref_bipartizer_set(g)
+    if cliques:
+        assert frozenset(bits(_peo_bipartizers(cliques))) == public
+    assert solve_certifying(g).to_json() == ref_certify(g).to_json()
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_graphs)
+def test_bipartizer_set_matches_reference_on_any_graph(g):
+    # holed graphs too, where a layer edge need not close a triangle
+    assert bipartizer_set(g) == ref_bipartizer_set(g)
+
+
+def bench_pools():
+    """Every input of the three certify pools of the benchmark, seeds 1-3."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up
+    spec.loader.exec_module(inputs)
+    for workload in ("certify_yes", "certify_no", "cli_check_verify"):
+        for seed in (1, 2, 3):
+            for inst in inputs.pool(workload, seed, random_chordal):
+                yield Graph(inst.n, inst.edges)
+
+
+def test_case_analysis_matches_reference_on_corpus_and_bench_pools(corpus8):
+    checked = 0
+    for g in [*corpus8, *bench_pools()]:
+        cliques = is_chordal(g).cliques
+        if cliques:
+            assert frozenset(bits(_peo_bipartizers(cliques))) == bipartizer_set(g)
+            checked += 1
+        assert solve_certifying(g).to_json() == ref_certify(g).to_json()
+    assert checked > 1500
