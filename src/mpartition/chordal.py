@@ -25,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, bits, component_masks, to_graph6
+from .graph import Graph, bfs_layers, bits, component_masks, to_graph6, tree_path
 
 
 @dataclass(frozen=True)
@@ -168,22 +168,10 @@ def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:
     # Shortest u-w path avoiding every neighbour of v except u, w closes a
     # chordless cycle with v (path chords are ruled out by minimality).
     banned = (g.adj[v] | 1 << v) & ~(1 << u) & ~(1 << w)
-    parent = {u: -1}
-    queue = [u]
-    while queue:
-        nxt = []
-        for x in queue:
-            for y in bits(g.adj[x] & ~banned):
-                if y in parent:
-                    continue
-                parent[y] = x
-                if y == w:
-                    path = [w]
-                    while path[-1] != u:
-                        path.append(parent[path[-1]])
-                    return (v, *path[::-1])
-                nxt.append(y)
-        queue = nxt
+    layers = bfs_layers(g, u, banned)
+    for d, layer in enumerate(layers):
+        if layer >> w & 1:
+            return (v, *reversed(tree_path(g, layers, w, d)))
     return None
 
 

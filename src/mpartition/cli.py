@@ -30,6 +30,7 @@ from .catalogue import (
 )
 from .chordal import MAX_ENUMERATION_N, enumerate_connected_chordal, random_chordal
 from .graph import (
+    MAX_VERTICES,
     Graph,
     from_edgelist,
     from_graph6,
@@ -293,6 +294,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_random(args: argparse.Namespace) -> int:
+    # checked before random_chordal, which would raise or allocate n masks
+    problem = None
+    if not 1 <= args.n <= MAX_VERTICES:
+        problem = f"--n must lie in 1..{MAX_VERTICES}, got {args.n}"
+    elif not 0.0 <= args.attach_bias <= 1.0:
+        problem = f"--attach-bias must lie in [0, 1], got {args.attach_bias}"
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        return EXIT_ERROR
     report = RunReport(command="random")
     started = time.monotonic()
     for trial in range(args.trials):

@@ -5,9 +5,12 @@ Python int used as a bitset, so the subset/intersection tests that dominate
 pattern detection and enumeration are single word-parallel operations.
 
 The module also carries the graph interchange formats (graph6, plain edge
-lists, DOT) and the small-pattern search primitives (induced and ordinary
-subgraph embedding, bipartiteness with certificates, breadth-first layers
-and components).
+lists, DOT), the small-pattern search primitives (induced and ordinary
+subgraph embedding) and the one breadth-first search of the package:
+``bfs_layers`` returns a component's layers as bitsets, and a vertex's
+tree parent is its lowest neighbour in the previous layer
+(``tree_path``).  Components, depth-parity colourings, edges inside a
+layer and the odd cycles they close are all read off those layers.
 """
 
 from __future__ import annotations
@@ -383,62 +386,11 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# bipartiteness and components
+# breadth-first layers, bipartiteness and components
+#
+# Every traversal is one layer search (``bfs_layers``) plus one parent
+# rule: a vertex's parent is its lowest neighbour in the previous layer.
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BipartitenessCertificate:
-    """Either a proper 2-colouring or an odd cycle (never both)."""
-
-    colouring: tuple[int, ...] | None
-    odd_cycle: tuple[int, ...] | None
-
-    def __bool__(self) -> bool:
-        return self.colouring is not None
-
-
-def is_bipartite(g: Graph) -> BipartitenessCertificate:
-    """2-colour g or return an odd cycle extracted from the BFS forest."""
-    colour = [-1] * g.n
-    parent = [-1] * g.n
-    depth = [0] * g.n
-    for root in range(g.n):
-        if colour[root] != -1:
-            continue
-        colour[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in g.neighbors(u):
-                    if colour[v] == -1:
-                        colour[v] = colour[u] ^ 1
-                        parent[v] = u
-                        depth[v] = depth[u] + 1
-                        nxt.append(v)
-                    elif colour[v] == colour[u]:
-                        return BipartitenessCertificate(
-                            None, _odd_cycle_from(u, v, parent, depth)
-                        )
-            queue = nxt
-    return BipartitenessCertificate(tuple(colour), None)
-
-
-def _odd_cycle_from(
-    u: int, v: int, parent: list[int], depth: list[int]
-) -> tuple[int, ...]:
-    # Walk both endpoints of the offending edge up to their lowest common
-    # BFS ancestor; the two tree paths plus the edge form an odd cycle.
-    pu, pv = [u], [v]
-    while depth[pu[-1]] > depth[pv[-1]]:
-        pu.append(parent[pu[-1]])
-    while depth[pv[-1]] > depth[pu[-1]]:
-        pv.append(parent[pv[-1]])
-    while pu[-1] != pv[-1]:
-        pu.append(parent[pu[-1]])
-        pv.append(parent[pv[-1]])
-    return tuple(pu + pv[-2::-1])
 
 
 def bfs_layers(g: Graph, root: int, removed: int = 0) -> list[int]:
@@ -464,15 +416,80 @@ def bfs_layers(g: Graph, root: int, removed: int = 0) -> list[int]:
         layers.append(frontier)
 
 
+def tree_path(g: Graph, layers: list[int], v: int, d: int) -> list[int]:
+    """Path from ``v`` in ``layers[d]`` up to the root, each step to the
+    lowest neighbour in the previous layer."""
+    path = [v]
+    for layer in reversed(layers[:d]):
+        path.append(lowest(g.adj[path[-1]] & layer))
+    return path
+
+
+def _forest(g: Graph, removed: int = 0) -> Iterator[list[int]]:
+    """``bfs_layers`` of each component of g minus the bitset ``removed``,
+    rooted at its lowest vertex, in order of that vertex."""
+    rest = ((1 << g.n) - 1) & ~removed
+    while rest:
+        layers = bfs_layers(g, lowest(rest), removed)
+        rest &= ~reduce(or_, layers)
+        yield layers
+
+
+def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, list[int], int] | None:
+    """An edge (u, w) inside layer d of a component of g minus the bitset
+    ``removed``, with that component's ``layers`` and d, as
+    ``(u, w, layers, d)``; None if there is none, that is, if g minus
+    ``removed`` is bipartite.  u is the lowest such vertex of the first
+    such layer and w its lowest neighbour there."""
+    adj = g.adj
+    for layers in _forest(g, removed):
+        for d, layer in enumerate(layers):
+            for u in bits(layer):
+                if adj[u] & layer:
+                    return u, lowest(adj[u] & layer), layers, d
+    return None
+
+
+def odd_depth(g: Graph) -> int:
+    """Bitset of the vertices at odd depth from the lowest vertex of their
+    component: one side of a 2-colouring if g is bipartite."""
+    odd = 0
+    for layers in _forest(g):
+        for layer in layers[1::2]:
+            odd |= layer
+    return odd
+
+
+@dataclass(frozen=True)
+class BipartitenessCertificate:
+    """Either a proper 2-colouring or an odd cycle (never both)."""
+
+    colouring: tuple[int, ...] | None
+    odd_cycle: tuple[int, ...] | None
+
+    def __bool__(self) -> bool:
+        return self.colouring is not None
+
+
+def is_bipartite(g: Graph) -> BipartitenessCertificate:
+    """2-colour g by depth parity, or return an odd cycle: a layer edge
+    (u, w), first and last on the cycle, closed by the tree paths of u and
+    w up to their lowest common ancestor."""
+    edge = layer_edge(g)
+    if edge is None:
+        # bit v of the bitset is v's colour; one format call keeps it linear
+        odd = format(odd_depth(g) | 1 << g.n, "b")[:0:-1]
+        return BipartitenessCertificate(tuple(map(int, odd)), None)
+    u, w, layers, d = edge
+    pu = tree_path(g, layers, u, d)
+    pw = tree_path(g, layers, w, d)
+    top = next(i for i in range(1, d + 1) if pu[i] == pw[i])
+    return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
+
+
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitsets, ordered by smallest vertex."""
-    out = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp = reduce(or_, bfs_layers(g, lowest(rest)))
-        out.append(comp)
-        rest &= ~comp
-    return out
+    return [reduce(or_, layers) for layers in _forest(g)]
 
 
 def components(g: Graph) -> list[VertexSet]:

@@ -49,8 +49,12 @@ from .graph import (
     bits,
     contains_induced,
     induced,
+    is_bipartite,
     is_isomorphic,
+    layer_edge,
     lowest,
+    odd_depth,
+    tree_path,
 )
 from .patterns import M1, Assignment, verify_assignment
 
@@ -191,20 +195,6 @@ def _peo_bipartizers(cliques: tuple[int, ...]) -> int:
     return 0 if max(map(int.bit_count, cliques)) > 3 else reduce(and_, cliques)
 
 
-def _layer_edge(g: Graph, removed: int) -> tuple[int, int] | None:
-    """An edge inside one breadth-first layer of g minus the vertices in
-    the ``removed`` bitset, or None: that graph is bipartite iff no layer
-    holds an edge."""
-    rest = ((1 << g.n) - 1) & ~removed
-    while rest:
-        for layer in bfs_layers(g, lowest(rest), removed):
-            rest &= ~layer
-            for u in bits(layer):
-                if g.adj[u] & layer:
-                    return u, lowest(g.adj[u] & layer)
-    return None
-
-
 def bipartizer_set(g: Graph) -> VertexSet:
     """All vertices whose removal leaves a bipartite graph.
 
@@ -213,15 +203,15 @@ def bipartizer_set(g: Graph) -> VertexSet:
     common neighbour only that triangle is tested.  On a chordal host
     they always have one: otherwise a shortest path between their
     neighbourhoods in the earlier layers would close a hole.  Other
-    non-bipartite hosts get the full per-vertex scan.
+    non-bipartite hosts test the vertices of one odd cycle.
     """
-    edge = _layer_edge(g, 0)
+    edge = layer_edge(g)
     if edge is None:
         return frozenset(range(g.n))
-    u, w = edge
+    u, w = edge[:2]
     common = g.adj[u] & g.adj[w]
-    candidates = (u, w, lowest(common)) if common else range(g.n)
-    return frozenset(v for v in candidates if _layer_edge(g, 1 << v) is None)
+    candidates = (u, w, lowest(common)) if common else is_bipartite(g).odd_cycle
+    return frozenset(v for v in candidates if layer_edge(g, 1 << v) is None)
 
 
 def _edges_within(g: Graph, mask: int) -> list[tuple[int, int]]:
@@ -506,10 +496,7 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
             if d < 3:
                 raise RuntimeError("internal error: adjacent pendant spokes missed")
-            path = [w]  # up the spoke tree to the root
-            for layer in reversed(tree[:d]):
-                path.append(lowest(g.adj[path[-1]] & layer))
-            wit = {hub, attach[root], attach[w]} | set(path)
+            wit = {hub, attach[root], attach[w], *tree_path(g, tree, w, d)}
             return _no(fan_kind((d + 1) // 2), wit)
         part1 |= comp & ~odd
         remaining &= ~comp
@@ -523,24 +510,15 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 
 def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
     """Certificate for a chordal graph with the given PEO cliques."""
-    full = (1 << g.n) - 1
     if not cliques:
         # a triangle-free chordal graph is a forest: 2-colour each tree by
         # depth parity from its lowest vertex
-        odd = 0
-        rest = full
-        while rest:
-            tree = bfs_layers(g, lowest(rest))
-            for d, layer in enumerate(tree):
-                rest ^= layer
-                if d % 2:
-                    odd |= layer
-        return _yes(g.n, odd)
+        return _yes(g.n, odd_depth(g))
     tri = _first_clique(cliques, 3)
     comp = reduce(or_, bfs_layers(g, tri[0]))
     # the lowest vertex outside the triangle's component with an edge
     # starts the first other component that has one
-    for u in bits(full & ~comp):
+    for u in bits(((1 << g.n) - 1) & ~comp):
         if g.adj[u]:
             return _no(ObstructionKind("F1"), set(tri) | {u, lowest(g.adj[u])})
     # any other component is an isolated vertex: the cases leave it in part 0

@@ -301,6 +301,33 @@ def test_random_validate_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["--n", "0"], "--n must lie in 1..258047, got 0"),
+        (["--n", "-3"], "--n must lie in 1..258047, got -3"),
+        (["--n", "258048"], "--n must lie in 1..258047, got 258048"),
+        (["--n", "10", "--attach-bias", "2"],
+         "--attach-bias must lie in [0, 1], got 2.0"),
+        (["--n", "10", "--attach-bias", "-0.5"],
+         "--attach-bias must lie in [0, 1], got -0.5"),
+        (["--n", "10", "--attach-bias", "nan"],
+         "--attach-bias must lie in [0, 1], got nan"),
+    ],
+)
+def test_random_rejects_bad_arguments_before_generating(
+    capsys, monkeypatch, argv, reason
+):
+    # an over-cap --n must not reach the generator, which allocates n masks
+    def no_generator(*args, **kwargs):
+        raise AssertionError("random_chordal called with bad arguments")
+
+    monkeypatch.setattr("mpartition.cli.random_chordal", no_generator)
+    code, out, err = run(capsys, "random", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {reason}\n"
+
+
 def test_minimality_command(capsys):
     code, out, _ = run(capsys, "minimality", "F7", "F1", "Fan(2)", "F0")
     assert code == 0

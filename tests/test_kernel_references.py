@@ -2,11 +2,14 @@
 
 The references below are the straightforward pair-scanning versions of
 ``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
-``induced``, the bit-at-a-time graph6 codec, and the case analysis that
-scanned for triangles and K4s and ran one BFS variant per need.  The
+``induced``, the bit-at-a-time graph6 codec, the case analysis that
+scanned for triangles and K4s and ran one BFS variant per need, and the
+colour/parent-list bipartiteness test and dict-parent hole search.  The
 library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
-bipartizer sets and certificate JSON on every input.
+bipartizer sets, colourings and certificate JSON on every input; odd
+cycles and holes found by a layer search need only be valid and, for
+holes, as long as the reference's.
 """
 
 import importlib.util
@@ -39,8 +42,14 @@ from mpartition import (
     to_graph6,
     verify_assignment,
 )
-from mpartition.chordal import _find_hole, lex_bfs
-from mpartition.graph import bits, component_masks, disjoint_union
+from mpartition.chordal import _find_hole, lex_bfs, verify_hole
+from mpartition.graph import (
+    BipartitenessCertificate,
+    bits,
+    component_masks,
+    cycle_graph,
+    disjoint_union,
+)
 from mpartition.solver import (
     Witness,
     _first_clique,
@@ -71,8 +80,9 @@ def ref_lex_bfs(g):
     return order
 
 
-def ref_is_chordal(g):
-    """(peo, hole) as the pairwise PEO check finds them."""
+def ref_is_chordal(g, find_hole=_find_hole):
+    """(peo, hole) as the pairwise PEO check finds them; ``find_hole``
+    turns the failed check into a hole."""
     peo = ref_lex_bfs(g)[::-1]
     pos = [0] * g.n
     for i, v in enumerate(peo):
@@ -84,7 +94,7 @@ def ref_is_chordal(g):
         parent = min(later, key=lambda u: pos[u])
         for w in later:
             if w != parent and not g.has_edge(parent, w):
-                return None, _find_hole(g, hint=(v, parent, w))
+                return None, find_hole(g, hint=(v, parent, w))
     return tuple(peo), None
 
 
@@ -320,11 +330,15 @@ def ref_from_graph6(text):
     return Graph(n, edges)
 
 
-def nx_graph6(g):
+def nx_graph(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
     nxg.add_edges_from(g.edges())
-    return nx.to_graph6_bytes(nxg, header=False).rstrip().decode("ascii")
+    return nxg
+
+
+def nx_graph6(g):
+    return nx.to_graph6_bytes(nx_graph(g), header=False).rstrip().decode("ascii")
 
 
 def decode_outcome(decode, text):
@@ -453,7 +467,7 @@ def ref_bipartizer_set(g: Graph) -> VertexSet:
     on every odd cycle), so only those deletions are tested; triangle-free
     non-bipartite hosts fall back to the full per-vertex scan.
     """
-    if is_bipartite(g):
+    if ref_is_bipartite(g):
         return frozenset(range(g.n))
     tri = ref_find_triangle(g)
     if tri is None:  # odd girth >= 5: cannot happen for chordal hosts
@@ -804,7 +818,7 @@ def ref_certify_connected(g: Graph) -> M1Certificate:
 
 
 def ref_certify(g: Graph) -> M1Certificate:
-    bip = is_bipartite(g)
+    bip = ref_is_bipartite(g)
     if bip:
         return ref_yes(list(bip.colouring))
     comps = component_masks(g)
@@ -905,3 +919,153 @@ def test_case_analysis_matches_reference_on_corpus_and_bench_pools(corpus8):
             checked += 1
         assert solve_certifying(g).to_json() == ref_certify(g).to_json()
     assert checked > 1500
+
+
+# ---------------------------------------------------------------------------
+# bipartiteness and holes: the colour/parent/depth-list BFS and the
+# dict-parent hole search, both following discovery-order parents
+# ---------------------------------------------------------------------------
+
+
+def ref_is_bipartite(g: Graph) -> BipartitenessCertificate:
+    colour = [-1] * g.n
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    for root in range(g.n):
+        if colour[root] != -1:
+            continue
+        colour[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for u in queue:
+                for v in g.neighbors(u):
+                    if colour[v] == -1:
+                        colour[v] = colour[u] ^ 1
+                        parent[v] = u
+                        depth[v] = depth[u] + 1
+                        nxt.append(v)
+                    elif colour[v] == colour[u]:
+                        return BipartitenessCertificate(
+                            None, ref_odd_cycle_from(u, v, parent, depth)
+                        )
+            queue = nxt
+    return BipartitenessCertificate(tuple(colour), None)
+
+
+def ref_odd_cycle_from(u, v, parent, depth):
+    pu, pv = [u], [v]
+    while depth[pu[-1]] > depth[pv[-1]]:
+        pu.append(parent[pu[-1]])
+    while depth[pv[-1]] > depth[pu[-1]]:
+        pv.append(parent[pv[-1]])
+    while pu[-1] != pv[-1]:
+        pu.append(parent[pu[-1]])
+        pv.append(parent[pv[-1]])
+    return tuple(pu + pv[-2::-1])
+
+
+def ref_hole_through(g, v, u, w):
+    banned = (g.adj[v] | 1 << v) & ~(1 << u) & ~(1 << w)
+    parent = {u: -1}
+    queue = [u]
+    while queue:
+        nxt = []
+        for x in queue:
+            for y in bits(g.adj[x] & ~banned):
+                if y in parent:
+                    continue
+                parent[y] = x
+                if y == w:
+                    path = [w]
+                    while path[-1] != u:
+                        path.append(parent[path[-1]])
+                    return (v, *path[::-1])
+                nxt.append(y)
+        queue = nxt
+    return None
+
+
+def ref_find_hole(g, hint=None):
+    """``_find_hole`` on ``ref_hole_through``: the hint, then every
+    mid-path triple in order."""
+    triples = [hint] if hint is not None else []
+    for v in range(g.n):
+        nb = list(bits(g.adj[v]))
+        triples += [(v, u, w) for i, u in enumerate(nb) for w in nb[i + 1:]
+                    if not g.has_edge(u, w)]
+    for triple in triples:
+        hole = ref_hole_through(g, *triple)
+        if hole is not None and verify_hole(g, hole):
+            return hole
+    raise ValueError("graph is chordal: no hole exists")
+
+
+@st.composite
+def odd_cycle_hosts(draw):
+    """Triangle-free and not bipartite: C5, C7 or C9 with pendant trees
+    grown on it, relabelled at random, alone or beside a second such host,
+    a tree or isolated vertices.  No layer edge closes a triangle here,
+    so ``bipartizer_set`` tests the vertices of an odd cycle."""
+    def one():
+        k = draw(st.sampled_from([5, 7, 9]))
+        edges = cycle_graph(k).edges()
+        n = k + draw(st.integers(0, 12))
+        edges += [(draw(st.integers(0, v - 1)), v) for v in range(k, n)]
+        perm = draw(st.permutations(range(n)))
+        return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+    g = one()
+    other = draw(st.sampled_from(["alone", "host", "tree", "isolated"]))
+    if other == "host":
+        g = disjoint_union(g, one())
+    elif other == "tree":
+        tree = random_chordal(draw(st.integers(1, 10)), 1.0, draw(st.integers(0, 99)))
+        g = disjoint_union(tree, g)
+    elif other == "isolated":
+        g = disjoint_union(Graph(draw(st.integers(1, 4))), g)
+    return g
+
+
+def check_traversals(g):
+    bip = is_bipartite(g)
+    ref = ref_is_bipartite(g)
+    assert bip.colouring == ref.colouring
+    if bip.odd_cycle is not None:
+        cycle = bip.odd_cycle
+        k = len(cycle)
+        assert k % 2 == 1 and len(set(cycle)) == k
+        assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(k))
+        # the closing edge (last, first) lies inside one breadth-first
+        # layer from the lowest vertex of its component
+        nxg = nx_graph(g)
+        root = min(nx.node_connected_component(nxg, cycle[0]))
+        depth = nx.single_source_shortest_path_length(nxg, root)
+        assert depth[cycle[0]] == depth[cycle[-1]]
+    hole = is_chordal(g).hole
+    ref_hole = ref_is_chordal(g, ref_find_hole)[1]
+    assert (hole is None) == (ref_hole is None)
+    if hole is not None:
+        assert verify_hole(g, hole) and len(hole) == len(ref_hole)
+    assert bipartizer_set(g) == ref_bipartizer_set(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(any_graphs, case_analysis_graphs(), odd_cycle_hosts()))
+def test_traversals_match_references(g):
+    check_traversals(g)
+
+
+def test_traversals_match_references_on_odd_cycle_families():
+    # a C_k with one pendant path per cycle vertex, every length to 3
+    for k in (5, 7, 9):
+        for length in range(4):
+            edges = cycle_graph(k).edges()
+            n = k
+            for v in range(k):
+                for step in range(length):
+                    edges.append((v if step == 0 else n - 1, n))
+                    n += 1
+            g = Graph(n, edges)
+            check_traversals(g)
+            assert bipartizer_set(g) == frozenset(range(k))
