@@ -10,9 +10,7 @@ construction.
 """
 
 from .catalogue import (
-    CatalogueEntry,
     ObstructionKind,
-    catalogue,
     fan,
     fan_kind,
     find_obstruction_by_scan,
@@ -63,7 +61,6 @@ from .solver import (
 
 __all__ = [
     "Assignment",
-    "CatalogueEntry",
     "ChordalityCertificate",
     "Graph",
     "Graph6Error",
@@ -76,7 +73,6 @@ __all__ = [
     "VertexSet",
     "bipartizer_set",
     "canonical_key",
-    "catalogue",
     "components",
     "contains_induced",
     "contains_subgraph",

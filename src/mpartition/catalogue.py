@@ -1,16 +1,12 @@
-"""Fixed catalogue of the chordal blockers for the three-part pattern
-:data:`~mpartition.patterns.M1`, plus detection of catalogue members
-inside host graphs.
+"""Fixed catalogue of the chordal minimal obstructions for the three-part
+pattern :data:`~mpartition.patterns.M1`, plus detection of catalogue
+members inside host graphs.
 
-Minimal members carry tags F1..F7 together with the infinite fan family
-Fan(k); F0, F01 and F02 are auxiliary six-vertex graphs with an empty
-bipartizer set (each contains an induced F1, so the solver never emits
-them).  Only acceptance criterion 4 of the test suite and the output of
-the ``catalogue`` and ``minimality`` CLI commands use them.  The edge
-lists below are data; the test suite validates every entry mechanically
-(chordality, minimal-obstruction status via the exhaustive solver, and
-the structural roles the solver relies on), so a mistranscription cannot
-survive.
+The catalogue is exactly the paper's family: the seven graphs F1..F7 and
+the infinite fan family Fan(k), k >= 2.  The edge lists below are data;
+the test suite validates every member mechanically (chordality,
+minimal-obstruction status via the exhaustive solver, and the structural
+roles the solver relies on), so a mistranscription cannot survive.
 """
 
 from __future__ import annotations
@@ -21,12 +17,11 @@ from functools import lru_cache
 from .graph import Graph, VertexSet, contains_induced
 
 FINITE_MINIMAL_TAGS = ("F1", "F2", "F3", "F4", "F5", "F6", "F7")
-AUXILIARY_TAGS = ("F0", "F01", "F02")
 
 
 @dataclass(frozen=True)
 class ObstructionKind:
-    """Catalogue tag: one of F0..F7, F01, F02, or Fan(k) with k >= 2."""
+    """Catalogue tag: one of F1..F7, or Fan(k) with k >= 2."""
 
     tag: str
     k: int | None = None
@@ -35,7 +30,7 @@ class ObstructionKind:
         if self.tag == "Fan":
             if self.k is None or self.k < 2:
                 raise ValueError("fan kinds need k >= 2")
-        elif self.tag not in FINITE_MINIMAL_TAGS + AUXILIARY_TAGS:
+        elif self.tag not in FINITE_MINIMAL_TAGS:
             raise ValueError(f"unknown obstruction tag {self.tag!r}")
         elif self.k is not None:
             raise ValueError("only fan kinds carry a parameter")
@@ -46,14 +41,6 @@ class ObstructionKind:
 
 def fan_kind(k: int) -> ObstructionKind:
     return ObstructionKind("Fan", k)
-
-
-@dataclass(frozen=True)
-class CatalogueEntry:
-    kind: ObstructionKind
-    graph: Graph
-    #: False for the auxiliary companions F0, F01, F02.
-    minimal: bool
 
 
 def fan(k: int) -> Graph:
@@ -72,12 +59,6 @@ def fan(k: int) -> Graph:
 
 
 _EDGE_LISTS: dict[str, tuple[int, list[tuple[int, int]]]] = {
-    # two disjoint triangles
-    "F0": (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),
-    # two triangles joined by a single edge
-    "F01": (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)]),
-    # two triangles joined by two edges sharing an endpoint
-    "F02": (6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3), (2, 4)]),
     # triangle plus a disjoint, non-adjacent edge
     "F1": (5, [(0, 1), (0, 2), (1, 2), (3, 4)]),
     # the net: triangle with one pendant on each corner
@@ -103,21 +84,6 @@ _EDGE_LISTS: dict[str, tuple[int, list[tuple[int, int]]]] = {
 def catalogue_graph(tag: str) -> Graph:
     n, edges = _EDGE_LISTS[tag]
     return Graph(n, edges)
-
-
-@lru_cache(maxsize=1)
-def catalogue() -> tuple[CatalogueEntry, ...]:
-    """The fixed entries: auxiliaries F0, F01, F02, then F1..F7."""
-    entries = []
-    for tag in AUXILIARY_TAGS:
-        entries.append(
-            CatalogueEntry(ObstructionKind(tag), catalogue_graph(tag), False)
-        )
-    for tag in FINITE_MINIMAL_TAGS:
-        entries.append(
-            CatalogueEntry(ObstructionKind(tag), catalogue_graph(tag), True)
-        )
-    return tuple(entries)
 
 
 def obstruction_graph(kind: ObstructionKind) -> Graph:

@@ -19,14 +19,12 @@ import time
 from dataclasses import dataclass, field
 
 from .catalogue import (
-    CatalogueEntry,
     FINITE_MINIMAL_TAGS,
     ObstructionKind,
-    catalogue,
-    fan,
     fan_kind,
     find_obstruction_by_scan,
     obstruction_graph,
+    obstruction_size,
 )
 from .chordal import MAX_ENUMERATION_N, enumerate_connected_chordal, random_chordal
 from .graph import (
@@ -49,6 +47,29 @@ from .solver import (
 EXIT_YES = 0
 EXIT_NO = 1
 EXIT_ERROR = 2
+
+#: The largest fan the CLI builds: Fan(k) has 2k+3 vertices, at most MAX_VERTICES.
+_MAX_FAN_K = (MAX_VERTICES - 3) // 2
+
+
+class _InputError(Exception):
+    """An unreadable input or a bad argument: ``main`` prints it as one
+    ``error:`` line and exits 2.  Only the readers and argument checks
+    raise it, so an error inside the solver stays a traceback."""
+
+
+def _reader(read):
+    """``read``, raising its ValueError or OSError (or the RecursionError
+    of too deeply nested JSON) as an input error."""
+
+    @functools.wraps(read)
+    def checked(*args):
+        try:
+            return read(*args)
+        except (ValueError, OSError, RecursionError) as exc:
+            raise _InputError(exc) from exc
+
+    return checked
 
 
 @dataclass
@@ -86,6 +107,7 @@ class RunReport:
         return EXIT_YES if not self.failures else EXIT_NO
 
 
+@_reader
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -93,6 +115,7 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+@_reader
 def _read_graph(path: str, fmt: str) -> Graph:
     text = _read_text(path)
     if fmt == "edgelist":
@@ -109,42 +132,27 @@ def _emit_graph(g: Graph, fmt: str) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _read_graph(args.input, args.format)
     try:
         cert = solve_certifying(g)
     except NotChordalError as exc:
         if not args.force_oracle:
-            print(
-                json.dumps(
-                    {"error": "not chordal", "hole": list(exc.hole)}, sort_keys=True
-                )
-            )
+            print(json.dumps({"error": "not chordal", "hole": list(exc.hole)},
+                             sort_keys=True))
             return EXIT_ERROR
         assignment = solve(g, M1)
-        cert = M1Certificate(assignment, None) if assignment is not None else None
-        if cert is None:
-            print(
-                json.dumps(
-                    {"decision": "no", "parts": None, "witness": None}, sort_keys=True
-                )
-            )
+        if assignment is None:  # uncertified: the catalogue is for chordal graphs
+            print(json.dumps({"decision": "no", "parts": None, "witness": None},
+                             sort_keys=True))
             return EXIT_NO
+        cert = M1Certificate(assignment, None)
     print(cert.to_json())
     return EXIT_YES if cert.decision == "yes" else EXIT_NO
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.format)
-        doc = json.loads(_read_text(args.certificate))
-        cert = _certificate_from_json(g, doc)
-    except (ValueError, OSError, RecursionError) as exc:  # too deeply nested JSON
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _read_graph(args.input, args.format)
+    cert = _read_certificate(g, args.certificate)
     if isinstance(cert, str):
         print(json.dumps({"valid": False, "reason": cert}, sort_keys=True))
         return EXIT_NO
@@ -161,14 +169,17 @@ def _is_int_list(value: object) -> bool:
     return isinstance(value, list) and all(map(_is_int, value))
 
 
-def _certificate_from_json(g: Graph, doc: object) -> M1Certificate | str:
-    """The certificate a parsed JSON document states, or why it states none.
+@_reader
+def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
+    """The certificate the JSON document at ``path`` states, or why it
+    states none.
 
     Raises ValueError when the document does not have a certificate's
     shape: an object whose yes ``parts`` are three lists of ints, or whose
     no ``witness`` is an object with a string ``kind``, an int list
     ``vertices`` and an int ``k`` where one is given.
     """
+    doc = json.loads(_read_text(path))
     if not isinstance(doc, dict):
         raise ValueError("malformed certificate: not a JSON object")
     if doc.get("decision") == "yes":
@@ -208,31 +219,26 @@ def _certificate_from_json(g: Graph, doc: object) -> M1Certificate | str:
     return "decision must be 'yes' or 'no'"
 
 
+def _kind_doc(kind: ObstructionKind, **fields: object) -> dict:
+    """JSON fields naming ``kind``: its tag, and k for a fan."""
+    return {"kind": kind.tag, **({} if kind.k is None else {"k": kind.k}), **fields}
+
+
 def cmd_obstruction(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _read_graph(args.input, args.format)
     found = find_obstruction_by_scan(g)
     if found is None:
         print(json.dumps({"obstruction": None}, sort_keys=True))
         return EXIT_YES
     kind, vertices = found
-    doc = {"obstruction": {"kind": kind.tag, "vertices": sorted(vertices)}}
-    if kind.k is not None:
-        doc["obstruction"]["k"] = kind.k
+    doc = {"obstruction": _kind_doc(kind, vertices=sorted(vertices))}
     print(json.dumps(doc, sort_keys=True))
     return EXIT_NO
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.format)
-        pattern = Pattern.parse(_read_text(args.pattern))
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _read_graph(args.input, args.format)
+    pattern = _reader(Pattern.parse)(_read_text(args.pattern))
     assignment = solve(g, pattern)
     if assignment is None:
         print(json.dumps({"decision": "no", "parts": None}, sort_keys=True))
@@ -295,14 +301,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_random(args: argparse.Namespace) -> int:
     # checked before random_chordal, which would raise or allocate n masks
-    problem = None
     if not 1 <= args.n <= MAX_VERTICES:
-        problem = f"--n must lie in 1..{MAX_VERTICES}, got {args.n}"
-    elif not 0.0 <= args.attach_bias <= 1.0:
-        problem = f"--attach-bias must lie in [0, 1], got {args.attach_bias}"
-    if problem is not None:
-        print(f"error: {problem}", file=sys.stderr)
-        return EXIT_ERROR
+        raise _InputError(f"--n must lie in 1..{MAX_VERTICES}, got {args.n}")
+    if not 0.0 <= args.attach_bias <= 1.0:
+        raise _InputError(f"--attach-bias must lie in [0, 1], got {args.attach_bias}")
     report = RunReport(command="random")
     started = time.monotonic()
     for trial in range(args.trials):
@@ -315,71 +317,61 @@ def cmd_random(args: argparse.Namespace) -> int:
     return report.exit_code
 
 
-_DEFAULT_MINIMALITY = ("F1", "F2", "F3", "F4", "F5", "F6", "F7",
-                       "Fan(2)", "Fan(3)", "Fan(4)", "Fan(5)")
+def _catalogue_kinds(fan_max: int) -> list[ObstructionKind]:
+    """The catalogue's kinds: F1..F7, then Fan(2)..Fan(fan_max)."""
+    kinds = [ObstructionKind(tag) for tag in FINITE_MINIMAL_TAGS]
+    return kinds + [fan_kind(k) for k in range(2, fan_max + 1)]
 
 
+@_reader
 def _parse_kind(token: str) -> ObstructionKind:
-    if token.startswith("Fan(") and token.endswith(")"):
-        return fan_kind(int(token[4:-1]))
-    return ObstructionKind(token)
+    if not (token.startswith("Fan(") and token.endswith(")")):
+        return ObstructionKind(token)
+    kind = fan_kind(int(token[4:-1]))
+    if kind.k > _MAX_FAN_K:  # before obstruction_graph allocates 2k+3 masks
+        raise _InputError(
+            f"{kind} has {obstruction_size(kind)} vertices, more than {MAX_VERTICES}"
+        )
+    return kind
 
 
 def cmd_minimality(args: argparse.Namespace) -> int:
     report = RunReport(command="minimality")
     started = time.monotonic()
-    tokens = args.kinds or list(_DEFAULT_MINIMALITY)
-    for token in tokens:
-        try:
-            kind = _parse_kind(token)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
+    kinds = [_parse_kind(token) for token in args.kinds] or _catalogue_kinds(5)
+    for kind in kinds:
         g = obstruction_graph(kind)
         report.record(g.n)
-        minimal = is_minimal_obstruction(g, M1)
-        expected = kind.tag == "Fan" or kind.tag in FINITE_MINIMAL_TAGS
-        if minimal == expected:
+        if is_minimal_obstruction(g, M1):
             report.agreements += 1
         else:
-            report.fail(g, "minimality-mismatch", f"{kind}: minimal={minimal}")
+            report.fail(g, "minimality-mismatch", f"{kind}: minimal=False")
     print(report.to_json())
     _elapsed(started)
     return report.exit_code
 
 
 def cmd_catalogue(args: argparse.Namespace) -> int:
-    entries = list(catalogue())
-    for k in range(2, args.fan_max + 1):
-        entries.append(CatalogueEntry(fan_kind(k), fan(k), True))
+    if args.fan_max > _MAX_FAN_K:  # before obstruction_graph allocates 2k+3 masks
+        raise _InputError(f"--fan-max must be at most {_MAX_FAN_K}, got {args.fan_max}")
+    kinds = _catalogue_kinds(args.fan_max)
     if args.json:
-        docs = []
-        for entry in entries:
-            doc = {
-                "kind": entry.kind.tag,
-                "minimal": entry.minimal,
-                "graph6": to_graph6(entry.graph),
-            }
-            if entry.kind.k is not None:
-                doc["k"] = entry.kind.k
-            docs.append(doc)
+        docs = [_kind_doc(kind, graph6=to_graph6(obstruction_graph(kind)))
+                for kind in kinds]
         print(json.dumps(docs, sort_keys=True, indent=2))
         return EXIT_YES
-    for entry in entries:
+    for kind in kinds:
+        g = obstruction_graph(kind)
         if args.format == "dot":
-            print(f"// {entry.kind}")
-            sys.stdout.write(to_dot(entry.graph))
+            print(f"// {kind}")
+            sys.stdout.write(to_dot(g))
         else:
-            print(f"{entry.kind}\t{to_graph6(entry.graph)}")
+            print(f"{kind}\t{to_graph6(g)}")
     return EXIT_YES
 
 
 def cmd_convert(args: argparse.Namespace) -> int:
-    try:
-        g = _read_graph(args.input, args.input_format)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+    g = _read_graph(args.input, args.input_format)
     sys.stdout.write(_emit_graph(g, args.format))
     return EXIT_YES
 
@@ -467,7 +459,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -435,29 +435,29 @@ def _forest(g: Graph, removed: int = 0) -> Iterator[list[int]]:
         yield layers
 
 
-def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, list[int], int] | None:
-    """An edge (u, w) inside layer d of a component of g minus the bitset
-    ``removed``, with that component's ``layers`` and d, as
-    ``(u, w, layers, d)``; None if there is none, that is, if g minus
-    ``removed`` is bipartite.  u is the lowest such vertex of the first
-    such layer and w its lowest neighbour there."""
+def _layer_edges(g: Graph, removed: int = 0) -> Iterator[tuple[list[int], tuple | None]]:
+    """Each component's ``layers`` in g minus the bitset ``removed``, with
+    an edge (u, w, d) inside its layer d, or None: u is the lowest such
+    vertex of the first such layer and w its lowest neighbour there."""
     adj = g.adj
     for layers in _forest(g, removed):
-        for d, layer in enumerate(layers):
-            for u in bits(layer):
-                if adj[u] & layer:
-                    return u, lowest(adj[u] & layer), layers, d
+        yield layers, next(((u, lowest(adj[u] & layer), d) for d, layer in enumerate(layers)
+                            for u in bits(layer) if adj[u] & layer), None)
+
+
+def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, list[int], int] | None:
+    """The first edge of :func:`_layer_edges` as ``(u, w, layers, d)``;
+    None if there is none, that is, if g minus ``removed`` is bipartite."""
+    for layers, edge in _layer_edges(g, removed):
+        if edge:
+            return edge[0], edge[1], layers, edge[2]
     return None
 
 
 def odd_depth(g: Graph) -> int:
     """Bitset of the vertices at odd depth from the lowest vertex of their
     component: one side of a 2-colouring if g is bipartite."""
-    odd = 0
-    for layers in _forest(g):
-        for layer in layers[1::2]:
-            odd |= layer
-    return odd
+    return reduce(or_, (layer for layers in _forest(g) for layer in layers[1::2]), 0)
 
 
 @dataclass(frozen=True)
@@ -474,17 +474,17 @@ class BipartitenessCertificate:
 def is_bipartite(g: Graph) -> BipartitenessCertificate:
     """2-colour g by depth parity, or return an odd cycle: a layer edge
     (u, w), first and last on the cycle, closed by the tree paths of u and
-    w up to their lowest common ancestor."""
-    edge = layer_edge(g)
-    if edge is None:
-        # bit v of the bitset is v's colour; one format call keeps it linear
-        odd = format(odd_depth(g) | 1 << g.n, "b")[:0:-1]
-        return BipartitenessCertificate(tuple(map(int, odd)), None)
-    u, w, layers, d = edge
-    pu = tree_path(g, layers, u, d)
-    pw = tree_path(g, layers, w, d)
-    top = next(i for i in range(1, d + 1) if pu[i] == pw[i])
-    return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
+    w up to their lowest common ancestor.  One walk of the components."""
+    odd = 0
+    for layers, edge in _layer_edges(g):
+        if edge:  # the tree paths of its two ends u, w from layer d
+            pu, pw = (tree_path(g, layers, v, edge[2]) for v in edge[:2])
+            top = next(i for i in range(1, len(pu)) if pu[i] == pw[i])
+            return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
+        odd = reduce(or_, layers[1::2], odd)
+    # bit v of the bitset is v's colour; one format call keeps it linear
+    colours = format(odd | 1 << g.n, "b")[:0:-1]
+    return BipartitenessCertificate(tuple(map(int, colours)), None)
 
 
 def component_masks(g: Graph) -> list[int]:

@@ -31,6 +31,8 @@ from mpartition import (
 from mpartition.catalogue import catalogue_graph
 from mpartition.chordal import is_connected
 
+from auxiliary import auxiliary_graph
+
 
 def triangles_of(g):
     return [
@@ -90,11 +92,12 @@ def test_criterion_3_minimal_obstruction_validation():
 
 
 def test_criterion_4_structural_implications(corpus8):
-    f0 = catalogue_graph("F0")
+    f0 = auxiliary_graph("F0")
     f5 = catalogue_graph("F5")
     f6 = catalogue_graph("F6")
     f7 = catalogue_graph("F7")
-    blockers = [catalogue_graph(t) for t in ("F5", "F6", "F7", "F0", "F01", "F02")]
+    blockers = [catalogue_graph(t) for t in ("F5", "F6", "F7")]
+    blockers += [auxiliary_graph(t) for t in ("F0", "F01", "F02")]
     counterexamples = []
     for g in corpus8:
         has = {h: contains_subgraph(g, h) is not None for h in (f5, f6, f0)}

@@ -4,7 +4,6 @@ from mpartition import (
     Graph,
     M1,
     ObstructionKind,
-    catalogue,
     contains_induced,
     fan,
     fan_kind,
@@ -16,8 +15,10 @@ from mpartition import (
     obstruction_graph,
     solve,
 )
-from mpartition.catalogue import AUXILIARY_TAGS, FINITE_MINIMAL_TAGS, catalogue_graph
+from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.graph import complete_graph, disjoint_union, path_graph
+
+from auxiliary import AUXILIARY_TAGS, auxiliary_graph
 
 
 def minimal_members():
@@ -30,10 +31,11 @@ def minimal_members():
 
 
 def test_catalogue_layout():
-    entries = catalogue()
-    assert [e.kind.tag for e in entries] == list(AUXILIARY_TAGS + FINITE_MINIMAL_TAGS)
-    assert all(not e.minimal for e in entries[:3])
-    assert all(e.minimal for e in entries[3:])
+    # the catalogue is exactly F1..F7 and Fan(k); F0/F01/F02 are no kinds
+    assert FINITE_MINIMAL_TAGS == tuple(f"F{i}" for i in range(1, 8))
+    for tag in AUXILIARY_TAGS:
+        with pytest.raises(ValueError, match=f"unknown obstruction tag '{tag}'"):
+            ObstructionKind(tag)
 
 
 def test_fixed_identities():
@@ -41,14 +43,14 @@ def test_fixed_identities():
     k3_k2 = disjoint_union(complete_graph(3), complete_graph(2))
     assert is_isomorphic(catalogue_graph("F1"), k3_k2)
     two_k3 = disjoint_union(complete_graph(3), complete_graph(3))
-    assert is_isomorphic(catalogue_graph("F0"), two_k3)
+    assert is_isomorphic(auxiliary_graph("F0"), two_k3)
     assert catalogue_graph("F5").n == 6
     assert catalogue_graph("F6").n == 6
 
 
 def test_every_entry_is_chordal():
-    for entry in catalogue():
-        assert is_chordal(entry.graph), str(entry.kind)
+    for tag in FINITE_MINIMAL_TAGS:
+        assert is_chordal(catalogue_graph(tag)), tag
 
 
 def test_minimal_entries_pass_the_oracle_gate():
@@ -59,7 +61,8 @@ def test_minimal_entries_pass_the_oracle_gate():
 
 def test_auxiliaries_are_unsolvable_but_not_minimal():
     for tag in AUXILIARY_TAGS:
-        g = catalogue_graph(tag)
+        g = auxiliary_graph(tag)
+        assert is_chordal(g)
         assert solve(g, M1) is None
         assert not is_minimal_obstruction(g, M1)
         assert contains_induced(g, catalogue_graph("F1")) is not None

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpartition import fan, to_graph6
+from mpartition import fan, fan_kind, to_graph6
 from mpartition.cli import main
 from mpartition.graph import complete_graph, cycle_graph, path_graph
 
@@ -120,6 +120,7 @@ def test_verify_malformed_document_is_an_input_error(tmp_path, capsys, doc):
 
 def test_verify_rejects_auxiliary_witness_kind(tmp_path, capsys):
     # two disjoint triangles induce F0, which is not a minimal obstruction
+    # and so no kind of the catalogue
     gpath = tmp_path / "f0.g6"
     gpath.write_text("EwCW\n")
     cert = tmp_path / "cert.json"
@@ -129,7 +130,10 @@ def test_verify_rejects_auxiliary_witness_kind(tmp_path, capsys):
     )
     code, out, _ = run(capsys, "verify", str(gpath), str(cert))
     assert code == 1
-    assert json.loads(out) == {"valid": False, "reason": "F0 is not a minimal obstruction"}
+    assert json.loads(out) == {
+        "valid": False,
+        "reason": "bad witness kind: unknown obstruction tag 'F0'",
+    }
 
 
 def test_verify_rejects_duplicated_witness_vertex(tmp_path, capsys):
@@ -329,29 +333,65 @@ def test_random_rejects_bad_arguments_before_generating(
 
 
 def test_minimality_command(capsys):
-    code, out, _ = run(capsys, "minimality", "F7", "F1", "Fan(2)", "F0")
+    code, out, _ = run(capsys, "minimality", "F7", "F1", "Fan(2)")
     assert code == 0
     report = json.loads(out)
-    assert report["failures"] == [] and report["checked"] == 4
+    assert report["failures"] == [] and report["checked"] == 3
+    code, out, err = run(capsys, "minimality", "F7", "F0")
+    assert code == 2 and out == ""
+    assert err == "error: unknown obstruction tag 'F0'\n"
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["minimality", "Fan(129023)"], "Fan(129023) has 258049 vertices, more than 258047"),
+        (["minimality", "F1", "Fan(1000000000)"],
+         "Fan(1000000000) has 2000000003 vertices, more than 258047"),
+        (["catalogue", "--fan-max", "129023"], "--fan-max must be at most 129022, got 129023"),
+        (["catalogue", "--fan-max", "1000000000", "--json"],
+         "--fan-max must be at most 129022, got 1000000000"),
+    ],
+)
+def test_over_limit_fans_are_rejected_before_building(capsys, monkeypatch, argv, reason):
+    # Fan(129023) would need about 8 GB of bitsets: nothing may build it
+    def no_graph(*args, **kwargs):
+        raise AssertionError("obstruction_graph called for an over-limit fan")
+
+    monkeypatch.setattr("mpartition.cli.obstruction_graph", no_graph)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {reason}\n"
+
+
+def test_largest_fan_passes_the_limit(capsys, monkeypatch):
+    # Fan(129022) has exactly MAX_VERTICES vertices; a stand-in graph is
+    # checked instead, so the test only shows that the limit lets it through
+    built = []
+
+    def small_stand_in(kind):
+        built.append(kind)
+        return fan(2)
+
+    monkeypatch.setattr("mpartition.cli.obstruction_graph", small_stand_in)
+    code, out, _ = run(capsys, "minimality", "Fan(129022)")
+    assert code == 0 and json.loads(out)["checked"] == 1
+    assert built == [fan_kind(129022)]
 
 
 def test_catalogue_command(capsys):
     code, out, _ = run(capsys, "catalogue", "--fan-max", "4")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == 13  # 10 fixed entries + fans 2..4
+    assert len(lines) == 10  # F1..F7 + fans 2..4
     tags = [ln.split("\t")[0] for ln in lines]
-    assert tags[0] == "F0" and "Fan(4)" in tags
+    assert tags[0] == "F1" and "Fan(4)" in tags
     code, out, _ = run(capsys, "catalogue", "--fan-max", "2", "--format", "dot")
     assert code == 0 and "graph {" in out
     code, out, _ = run(capsys, "catalogue", "--fan-max", "2", "--json")
     docs = json.loads(out)
-    assert len(docs) == 11 and docs[-1] == {
-        "graph6": to_graph6(fan(2)),
-        "k": 2,
-        "kind": "Fan",
-        "minimal": True,
-    }
+    assert len(docs) == 8 and docs[0] == {"graph6": "DwC", "kind": "F1"}
+    assert docs[-1] == {"graph6": to_graph6(fan(2)), "k": 2, "kind": "Fan"}
 
 
 def test_check_reads_stdin(capsys, monkeypatch):

@@ -7,6 +7,7 @@ from mpartition import (
     Graph,
     M1,
     NotChordalError,
+    ObstructionKind,
     bipartizer_set,
     extract_unbipartizable_obstruction,
     fan,
@@ -23,10 +24,12 @@ from mpartition import (
     solve_unique_triangle,
     verify_certificate,
 )
-from mpartition.catalogue import ObstructionKind, catalogue_graph
+from mpartition.catalogue import FINITE_MINIMAL_TAGS
 from mpartition.chordal import verify_hole
 from mpartition.graph import complete_graph, cycle_graph, disjoint_union, path_graph
 from mpartition.solver import M1Certificate
+
+from auxiliary import AUXILIARY_TAGS, auxiliary_graph
 
 
 def definitional_bipartizers(g):
@@ -277,10 +280,21 @@ def test_verify_certificate_rejects_tampering():
 
 
 def test_verify_certificate_accepts_only_minimal_kinds():
-    for tag in ("F0", "F01", "F02"):
-        g = catalogue_graph(tag)
-        cert = M1Certificate(None, (ObstructionKind(tag), frozenset(range(g.n))))
-        assert verify_certificate(g, cert) == f"{tag} is not a minimal obstruction"
+    for kind in [ObstructionKind(t) for t in FINITE_MINIMAL_TAGS] + [fan_kind(3)]:
+        g = obstruction_graph(kind)
+        cert = M1Certificate(None, (kind, frozenset(range(g.n))))
+        assert verify_certificate(g, cert) is None, str(kind)
+    for tag in AUXILIARY_TAGS:
+        # a non-minimal blocker cannot be named as a witness kind at all ...
+        with pytest.raises(ValueError, match=f"unknown obstruction tag '{tag}'"):
+            ObstructionKind(tag)
+        # ... so its certificate names a minimal member inside it
+        g = auxiliary_graph(tag)
+        cert = solve_certifying(g)
+        assert cert.witness is not None
+        assert cert.witness[0].tag in FINITE_MINIMAL_TAGS
+        assert len(cert.witness[1]) < g.n
+        assert verify_certificate(g, cert) is None
 
 
 def test_verify_certificate_checks_witness_size_first():
