@@ -38,6 +38,10 @@ class ObstructionKind:
     def __str__(self) -> str:
         return f"Fan({self.k})" if self.tag == "Fan" else self.tag
 
+    def to_json_dict(self, **fields: object) -> dict:
+        """JSON fields naming this kind: its tag, k for a fan, then ``fields``."""
+        return {"kind": self.tag, **({} if self.k is None else {"k": self.k}), **fields}
+
 
 def fan_kind(k: int) -> ObstructionKind:
     return ObstructionKind("Fan", k)

@@ -10,8 +10,9 @@ and the next vertex is the lowest id of the first class.  Each edge is
 handled once, when its first endpoint is visited, so the search costs
 O(n + m) steps, each a bitset operation on n-bit ints.  The PEO check
 tests one bitset of earlier-visited neighbours per vertex against its
-parent's neighbourhood.  A failed check always yields a chordless cycle
-of length at least four, so callers get a verifiable answer either way.
+parent's neighbourhood.  A failed check yields a hole (a chordless cycle
+of length at least four) through the failing vertex by one layer search,
+checked in O(k) mask steps, so callers get a verifiable answer either way.
 
 Enumeration grows graphs one simplicial vertex at a time: removing a
 simplicial vertex from a connected graph keeps it connected, so every
@@ -129,21 +130,32 @@ def verify_peo(g: Graph, order: list[int] | tuple[int, ...]) -> bool:
 
 
 def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
-    """Consecutive vertices adjacent, all other pairs non-adjacent, len >= 4."""
+    """Consecutive vertices adjacent, all other pairs non-adjacent, len >= 4:
+    within the bitset of the hole, each vertex sees exactly its two cycle
+    neighbours, so the check takes O(k) mask steps for k vertices."""
     k = len(hole)
-    if k < 4 or len(set(hole)) != k:
+    if k < 4 or len(set(hole)) != k or not all(0 <= v < g.n for v in hole):
         return False
-    for i in range(k):
-        for j in range(i + 1, k):
-            adjacent = g.has_edge(hole[i], hole[j])
-            consecutive = j - i == 1 or (i == 0 and j == k - 1)
-            if adjacent != consecutive:
-                return False
-    return True
+    ring = sum(1 << v for v in hole)
+    return all(g.adj[v] & ring == 1 << hole[i - 1] | 1 << hole[(i + 1) % k]
+               for i, v in enumerate(hole))
 
 
 def is_chordal(g: Graph) -> ChordalityCertificate:
-    """Perfect elimination ordering if chordal, otherwise a hole."""
+    """Perfect elimination ordering if chordal, otherwise a hole.
+
+    If the check fails at v, with p the neighbour visited last before v
+    and w the lowest earlier neighbour of v that p misses, v and a
+    shortest p-w path avoiding v's other neighbours form a hole.  That
+    path exists: the order cut at v is a LexBFS of the subgraph H on v
+    and the vertices before it, and its last vertex v lies in a moplex M
+    of H, a clique of true twins whose neighbourhood is a minimal
+    separator (Berry & Bordat 1998, "Separability generalizes Dirac's
+    theorem", Discrete Appl. Math. 84).  A twin of v would see both p
+    and w, so both lie in N(M) and have neighbours in a full component
+    of H - N(M) other than M, which avoids N[v] = M + N(M).  A missing or
+    invalid hole is therefore an internal error.
+    """
     order, parent = _lex_bfs(g)
     earlier = (1 << g.n) - 1
     cliques = []
@@ -158,7 +170,10 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
         bad = later & ~(g.adj[p] | 1 << p)
         if bad:
             w = (bad & -bad).bit_length() - 1
-            return ChordalityCertificate(None, _find_hole(g, hint=(v, p, w)))
+            hole = _hole_through(g, v, p, w)
+            if hole is None or not verify_hole(g, hole):
+                raise RuntimeError(f"internal error: no hole through {p}, {v}, {w}")
+            return ChordalityCertificate(None, hole)
         if later & (later - 1):
             cliques.append(later | 1 << v)
     return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
@@ -173,27 +188,6 @@ def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:
         if layer >> w & 1:
             return (v, *reversed(tree_path(g, layers, w, d)))
     return None
-
-
-def _find_hole(
-    g: Graph, hint: tuple[int, int, int] | None = None
-) -> tuple[int, ...]:
-    """Locate a chordless cycle of length >= 4 in a non-chordal graph."""
-    if hint is not None:
-        hole = _hole_through(g, *hint)
-        if hole is not None and verify_hole(g, hole):
-            return hole
-    # Some mid-path triple of any hole always succeeds, so scan them all.
-    for v in range(g.n):
-        nb = list(bits(g.adj[v]))
-        for i, u in enumerate(nb):
-            for w in nb[i + 1:]:
-                if g.has_edge(u, w):
-                    continue
-                hole = _hole_through(g, v, u, w)
-                if hole is not None and verify_hole(g, hole):
-                    return hole
-    raise ValueError("graph is chordal: no hole exists")
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,10 @@ EXIT_ERROR = 2
 #: The largest fan the CLI builds: Fan(k) has 2k+3 vertices, at most MAX_VERTICES.
 _MAX_FAN_K = (MAX_VERTICES - 3) // 2
 
+#: The largest graph the CLI hands to the exhaustive oracle, which recurses
+#: once per vertex: minimality of Fan(254), 511 vertices, takes about 2.6 s.
+_MAX_ORACLE_VERTICES = 512
+
 
 class _InputError(Exception):
     """An unreadable input or a bad argument: ``main`` prints it as one
@@ -70,6 +74,13 @@ def _reader(read):
             raise _InputError(exc) from exc
 
     return checked
+
+
+def _check_oracle_size(name: str, n: int) -> None:
+    if n > _MAX_ORACLE_VERTICES:
+        raise _InputError(
+            f"{name} has {n} vertices, more than the oracle's {_MAX_ORACLE_VERTICES}"
+        )
 
 
 @dataclass
@@ -140,6 +151,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(json.dumps({"error": "not chordal", "hole": list(exc.hole)},
                              sort_keys=True))
             return EXIT_ERROR
+        _check_oracle_size("graph", g.n)
         assignment = solve(g, M1)
         if assignment is None:  # uncertified: the catalogue is for chordal graphs
             print(json.dumps({"decision": "no", "parts": None, "witness": None},
@@ -219,25 +231,22 @@ def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
     return "decision must be 'yes' or 'no'"
 
 
-def _kind_doc(kind: ObstructionKind, **fields: object) -> dict:
-    """JSON fields naming ``kind``: its tag, and k for a fan."""
-    return {"kind": kind.tag, **({} if kind.k is None else {"k": kind.k}), **fields}
-
-
 def cmd_obstruction(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
+    _check_oracle_size("graph", g.n)
     found = find_obstruction_by_scan(g)
     if found is None:
         print(json.dumps({"obstruction": None}, sort_keys=True))
         return EXIT_YES
     kind, vertices = found
-    doc = {"obstruction": _kind_doc(kind, vertices=sorted(vertices))}
+    doc = {"obstruction": kind.to_json_dict(vertices=sorted(vertices))}
     print(json.dumps(doc, sort_keys=True))
     return EXIT_NO
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
     g = _read_graph(args.input, args.format)
+    _check_oracle_size("graph", g.n)
     pattern = _reader(Pattern.parse)(_read_text(args.pattern))
     assignment = solve(g, pattern)
     if assignment is None:
@@ -328,10 +337,7 @@ def _parse_kind(token: str) -> ObstructionKind:
     if not (token.startswith("Fan(") and token.endswith(")")):
         return ObstructionKind(token)
     kind = fan_kind(int(token[4:-1]))
-    if kind.k > _MAX_FAN_K:  # before obstruction_graph allocates 2k+3 masks
-        raise _InputError(
-            f"{kind} has {obstruction_size(kind)} vertices, more than {MAX_VERTICES}"
-        )
+    _check_oracle_size(str(kind), obstruction_size(kind))  # before it is built
     return kind
 
 
@@ -356,7 +362,7 @@ def cmd_catalogue(args: argparse.Namespace) -> int:
         raise _InputError(f"--fan-max must be at most {_MAX_FAN_K}, got {args.fan_max}")
     kinds = _catalogue_kinds(args.fan_max)
     if args.json:
-        docs = [_kind_doc(kind, graph6=to_graph6(obstruction_graph(kind)))
+        docs = [kind.to_json_dict(graph6=to_graph6(obstruction_graph(kind)))
                 for kind in kinds]
         print(json.dumps(docs, sort_keys=True, indent=2))
         return EXIT_YES

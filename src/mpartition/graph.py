@@ -82,9 +82,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.adj[v])
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as sorted ``(u, v)`` pairs with ``u < v``."""
         out = []

@@ -81,9 +81,7 @@ class M1Certificate:
                 parts[part].append(v)
             return {"decision": "yes", "parts": parts, "witness": None}
         kind, vertices = self.witness  # type: ignore[misc]
-        wit: dict = {"kind": kind.tag, "vertices": sorted(vertices)}
-        if kind.k is not None:
-            wit["k"] = kind.k
+        wit = kind.to_json_dict(vertices=sorted(vertices))
         return {"decision": "no", "parts": None, "witness": wit}
 
     def to_json(self) -> str:

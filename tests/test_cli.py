@@ -345,16 +345,19 @@ def test_minimality_command(capsys):
 @pytest.mark.parametrize(
     "argv, reason",
     [
-        (["minimality", "Fan(129023)"], "Fan(129023) has 258049 vertices, more than 258047"),
+        (["minimality", "Fan(129023)"],
+         "Fan(129023) has 258049 vertices, more than the oracle's 512"),
         (["minimality", "F1", "Fan(1000000000)"],
-         "Fan(1000000000) has 2000000003 vertices, more than 258047"),
+         "Fan(1000000000) has 2000000003 vertices, more than the oracle's 512"),
         (["catalogue", "--fan-max", "129023"], "--fan-max must be at most 129022, got 129023"),
         (["catalogue", "--fan-max", "1000000000", "--json"],
          "--fan-max must be at most 129022, got 1000000000"),
+        (["minimality", "Fan(255)"], "Fan(255) has 513 vertices, more than the oracle's 512"),
     ],
 )
 def test_over_limit_fans_are_rejected_before_building(capsys, monkeypatch, argv, reason):
-    # Fan(129023) would need about 8 GB of bitsets: nothing may build it
+    # Fan(129023) would need about 8 GB of bitsets, and the oracle behind
+    # minimality recurses once per vertex: nothing may build either
     def no_graph(*args, **kwargs):
         raise AssertionError("obstruction_graph called for an over-limit fan")
 
@@ -365,8 +368,9 @@ def test_over_limit_fans_are_rejected_before_building(capsys, monkeypatch, argv,
 
 
 def test_largest_fan_passes_the_limit(capsys, monkeypatch):
-    # Fan(129022) has exactly MAX_VERTICES vertices; a stand-in graph is
-    # checked instead, so the test only shows that the limit lets it through
+    # Fan(254) has 511 vertices, the most of any fan within the oracle's
+    # 512; a stand-in graph is checked instead, so the test only shows
+    # that the limit lets it through
     built = []
 
     def small_stand_in(kind):
@@ -374,9 +378,31 @@ def test_largest_fan_passes_the_limit(capsys, monkeypatch):
         return fan(2)
 
     monkeypatch.setattr("mpartition.cli.obstruction_graph", small_stand_in)
-    code, out, _ = run(capsys, "minimality", "Fan(129022)")
+    code, out, _ = run(capsys, "minimality", "Fan(254)")
     assert code == 0 and json.loads(out)["checked"] == 1
-    assert built == [fan_kind(129022)]
+    assert built == [fan_kind(254)]
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve", "--pattern", "PATTERN"], ["obstruction"], ["check", "--force-oracle"]]
+)
+def test_oracle_takes_at_most_512_vertices(tmp_path, capsys, monkeypatch, argv):
+    # the oracle recurses once per vertex: a larger graph is rejected before
+    # any search, and stand-ins for the searches show 512 passing the limit
+    searched = []
+    monkeypatch.setattr("mpartition.cli.solve", lambda g, pattern: searched.append(g.n))
+    monkeypatch.setattr("mpartition.cli.find_obstruction_by_scan",
+                        lambda g: searched.append(g.n))
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text("0**\n*01\n*10\n")
+    argv = [str(pattern) if a == "PATTERN" else a for a in argv]
+    code, out, err = run(capsys, *argv, write_graph6(tmp_path, cycle_graph(513)))
+    assert (code, out) == (2, "")
+    assert err == "error: graph has 513 vertices, more than the oracle's 512\n"
+    assert searched == []
+    code, out, err = run(capsys, *argv, write_graph6(tmp_path, cycle_graph(512)))
+    assert code in (0, 1) and json.loads(out) and err == ""
+    assert searched == [512]
 
 
 def test_catalogue_command(capsys):

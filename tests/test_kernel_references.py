@@ -4,7 +4,8 @@ The references below are the straightforward pair-scanning versions of
 ``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
 ``induced``, the bit-at-a-time graph6 codec, the case analysis that
 scanned for triangles and K4s and ran one BFS variant per need, and the
-colour/parent-list bipartiteness test and dict-parent hole search.  The
+colour/parent-list bipartiteness test, the dict-parent hole search and
+the pairwise hole check.  The
 library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
 bipartizer sets, colourings and certificate JSON on every input; odd
@@ -42,7 +43,7 @@ from mpartition import (
     to_graph6,
     verify_assignment,
 )
-from mpartition.chordal import _find_hole, lex_bfs, verify_hole
+from mpartition.chordal import _hole_through, _lex_bfs, lex_bfs, verify_hole
 from mpartition.graph import (
     BipartitenessCertificate,
     bits,
@@ -80,9 +81,10 @@ def ref_lex_bfs(g):
     return order
 
 
-def ref_is_chordal(g, find_hole=_find_hole):
+def ref_is_chordal(g, find_hole=None):
     """(peo, hole) as the pairwise PEO check finds them; ``find_hole``
-    turns the failed check into a hole."""
+    (default ``ref_find_hole``) turns the failed check into a hole."""
+    find_hole = find_hole or ref_find_hole
     peo = ref_lex_bfs(g)[::-1]
     pos = [0] * g.n
     for i, v in enumerate(peo):
@@ -184,8 +186,16 @@ def test_lex_bfs_matches_reference(g):
 @settings(max_examples=300, deadline=None)
 @given(any_graphs)
 def test_is_chordal_matches_reference(g):
+    # the same PEO, and the same failing triple handed to the hole search
     cert = is_chordal(g)
-    assert (cert.peo, cert.hole) == ref_is_chordal(g)
+    assert (cert.peo, cert.hole) == ref_is_chordal(
+        g, lambda g, hint: _hole_through(g, *hint))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs)
+def test_is_chordal_agrees_with_networkx(g):
+    assert bool(is_chordal(g)) == nx.is_chordal(nx_graph(g))
 
 
 @st.composite
@@ -996,9 +1006,24 @@ def ref_find_hole(g, hint=None):
                     if not g.has_edge(u, w)]
     for triple in triples:
         hole = ref_hole_through(g, *triple)
-        if hole is not None and verify_hole(g, hole):
+        if hole is not None and ref_verify_hole(g, hole):
             return hole
     raise ValueError("graph is chordal: no hole exists")
+
+
+def ref_verify_hole(g, hole):
+    """The pairwise hole check: consecutive vertices adjacent, all other
+    pairs non-adjacent, len >= 4."""
+    k = len(hole)
+    if k < 4 or len(set(hole)) != k:
+        return False
+    for i in range(k):
+        for j in range(i + 1, k):
+            adjacent = g.has_edge(hole[i], hole[j])
+            consecutive = j - i == 1 or (i == 0 and j == k - 1)
+            if adjacent != consecutive:
+                return False
+    return True
 
 
 @st.composite
@@ -1043,7 +1068,7 @@ def check_traversals(g):
         depth = nx.single_source_shortest_path_length(nxg, root)
         assert depth[cycle[0]] == depth[cycle[-1]]
     hole = is_chordal(g).hole
-    ref_hole = ref_is_chordal(g, ref_find_hole)[1]
+    ref_hole = ref_is_chordal(g)[1]
     assert (hole is None) == (ref_hole is None)
     if hole is not None:
         assert verify_hole(g, hole) and len(hole) == len(ref_hole)
@@ -1069,3 +1094,110 @@ def test_traversals_match_references_on_odd_cycle_families():
             g = Graph(n, edges)
             check_traversals(g)
             assert bipartizer_set(g) == frozenset(range(k))
+
+
+# ---------------------------------------------------------------------------
+# the hole through a failed PEO check, and the O(k) hole check
+# ---------------------------------------------------------------------------
+
+
+def failing_triples(g):
+    """Every (v, parent, w) where the PEO check fails, not only the first:
+    each vertex v, its neighbour visited last before it, and each earlier
+    neighbour of v that the parent misses."""
+    order, parent = _lex_bfs(g)
+    earlier = 0
+    for v in order:
+        later = g.adj[v] & earlier
+        earlier |= 1 << v
+        if later:
+            p = parent[v]
+            yield from ((v, p, w) for w in bits(later & ~(g.adj[p] | 1 << p)))
+
+
+def check_holes_through_failures(g):
+    triples = list(failing_triples(g))
+    assert bool(triples) == (not nx.is_chordal(nx_graph(g)))
+    for v, p, w in triples:
+        hole = _hole_through(g, v, p, w)
+        assert hole is not None and hole[:2] == (v, p) and hole[-1] == w
+        assert ref_verify_hole(g, hole) and verify_hole(g, hole)
+
+
+@st.composite
+def cycles_with_chords_and_tails(draw):
+    """C_k, 4 <= k <= 12, with some chords and pendant paths, relabelled."""
+    k = draw(st.integers(4, 12))
+    edges = cycle_graph(k).edges()
+    chord = st.tuples(st.integers(0, k - 1), st.integers(0, k - 1))
+    edges += [(u, v) for u, v in draw(st.lists(chord, max_size=k)) if u != v]
+    n = k
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, n - 1))
+        for step in range(draw(st.integers(1, 4))):
+            edges.append((at if step == 0 else n - 1, n))
+            n += 1
+    perm = draw(st.permutations(range(n)))
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_graphs, cycles_with_chords_and_tails()))
+def test_every_failed_check_gives_a_hole(g):
+    check_holes_through_failures(g)
+
+
+def test_every_failed_check_gives_a_hole_on_wheels():
+    for k in range(4, 20):
+        rim = cycle_graph(k).edges()
+        for hub in (0, k // 2, k):  # the hub first, in the middle, last
+            perm = [v + (v >= hub) for v in range(k)]
+            g = Graph(k + 1, [(perm[u], perm[v]) for u, v in rim]
+                      + [(hub, perm[v]) for v in range(k)])
+            check_holes_through_failures(g)
+            assert len(is_chordal(g).hole) == k
+
+
+@st.composite
+def hole_candidates(draw):
+    """A graph and a vertex tuple: short, repeating, arbitrary, or a
+    rotation or reversal of the graph's hole, possibly with one vertex
+    replaced."""
+    g = draw(st.one_of(any_graphs, cycles_with_chords_and_tails()))
+    vertex = st.integers(0, max(g.n - 1, 0))
+    hole = is_chordal(g).hole
+    if hole is None or draw(st.booleans()):
+        if g.n == 0:
+            return g, ()
+        return g, tuple(draw(st.lists(vertex, max_size=min(g.n + 2, 12))))
+    i = draw(st.integers(0, len(hole) - 1))
+    cand = hole[i:] + hole[:i]
+    if draw(st.booleans()):
+        cand = cand[::-1]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(cand) - 1))
+        cand = cand[:j] + (draw(vertex),) + cand[j + 1:]
+    return g, cand
+
+
+@settings(max_examples=500, deadline=None)
+@given(hole_candidates())
+def test_verify_hole_matches_pairwise_reference(case):
+    g, cand = case
+    assert verify_hole(g, cand) == ref_verify_hole(g, cand)
+
+
+def test_verify_hole_rejects_short_repeated_and_chorded_tuples():
+    c6 = cycle_graph(6)
+    assert verify_hole(c6, (0, 1, 2, 3, 4, 5))
+    assert verify_hole(c6, (3, 2, 1, 0, 5, 4))
+    assert not verify_hole(c6, (0, 1, 2))
+    assert not verify_hole(c6, (0, 1, 2, 3, 4, 5, 0))
+    assert not verify_hole(c6, (0, 1, 2, 1, 0, 5))
+    # a walk to and fro along one edge: each vertex sees its two neighbours
+    assert not verify_hole(Graph(3, [(0, 2)]), (0, 2, 0, 2, 0, 2))
+    assert not verify_hole(c6, (0, 1, 0, 1))
+    assert not verify_hole(c6, (0, 1, 2, 4, 3, 5))
+    assert not verify_hole(Graph(6, c6.edges() + [(0, 3)]), (0, 1, 2, 3, 4, 5))
+    assert not verify_hole(c6, (0, 1, 2, 3, 4, 6))
+    assert not verify_hole(c6, (-1, 0, 1, 2))
