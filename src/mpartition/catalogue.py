@@ -112,17 +112,17 @@ def find_obstruction_by_scan(
     """Exhaustive induced-subgraph scan against every minimal member.
 
     Checks F1..F7 in tag order, then fans with increasing k while they fit
-    inside g.  Intended for hosts of roughly a dozen vertices; absence
-    means g avoids the entire family at this scale.
+    inside g: Fan(k) has 2k + 3 vertices and its apex sees 2k of them, so
+    only k with 2k at most g's maximum degree can occur.  Absence means g
+    avoids the entire family.
     """
     for tag in FINITE_MINIMAL_TAGS:
         witness = contains_induced(g, catalogue_graph(tag))
         if witness is not None:
             return ObstructionKind(tag), witness
-    k = 2
-    while 2 * k + 3 <= g.n:
+    reach = min(g.n - 3, max(map(g.degree, range(g.n)), default=0))
+    for k in range(2, reach // 2 + 1):
         witness = contains_induced(g, fan(k))
         if witness is not None:
             return fan_kind(k), witness
-        k += 1
     return None

@@ -50,7 +50,7 @@ class Graph:
     edges, so the adjacency invariants hold for every reachable instance.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
@@ -68,7 +68,6 @@ class Graph:
             masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(masks))
-        object.__setattr__(self, "_hash", hash((n, self.adj)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
@@ -100,7 +99,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
@@ -276,14 +275,11 @@ def to_edgelist(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_dot(g: Graph, highlight: VertexSet = frozenset()) -> str:
-    """Emit DOT text; vertices in ``highlight`` get a filled style."""
+def to_dot(g: Graph) -> str:
+    """Emit DOT text: one line per vertex, then one per edge."""
     lines = ["graph {"]
-    for v in range(g.n):
-        attr = ' [style=filled, fillcolor=lightblue]' if v in highlight else ""
-        lines.append(f"  {v}{attr};")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
+    lines.extend(f"  {v};" for v in range(g.n))
+    lines.extend(f"  {u} -- {v};" for u, v in g.edges())
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -312,18 +308,17 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
 
 def _pattern_order(h: Graph) -> list[int]:
     # Place high-degree vertices first and keep each new vertex attached to
-    # the placed prefix when possible, so constraint masks prune early.
-    remaining = set(range(h.n))
+    # the placed prefix when possible, so constraint masks prune early: the
+    # next vertex has the most placed neighbours, then the highest degree,
+    # then the lowest id.
+    adj = h.adj
     order: list[int] = []
-    while remaining:
-        best = None
-        for v in sorted(remaining):
-            placed_neighbors = sum(1 for u in order if h.has_edge(u, v))
-            key = (-placed_neighbors, -h.degree(v), v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        remaining.discard(best[1])
+    placed = 0
+    for _ in range(h.n):
+        _, _, v = min((-(adj[v] & placed).bit_count(), -adj[v].bit_count(), v)
+                      for v in bits(((1 << h.n) - 1) & ~placed))
+        order.append(v)
+        placed |= 1 << v
     return order
 
 

@@ -259,13 +259,20 @@ def extract_unbipartizable_obstruction(
 
     A complete subgraph on four vertices is an immediate F7.  Otherwise at
     most one triangle closes over each vertex, so all triangles are listed
-    and compared pairwise: a disjoint pair carries an induced F1, F6 or F7
-    among its six vertices (the connecting edges either miss a matching,
-    concentrate on one vertex, or close a chorded four-cycle); a pair
-    sharing one vertex combines with a triangle avoiding that vertex into
-    six vertices carrying an induced F5 or F7.  With an empty bipartizer
-    set one of these configurations always exists.  ``cliques`` are
-    ``g``'s PEO cliques (``ChordalityCertificate``) if the caller has them.
+    and compared pairwise.  A disjoint pair carries an induced F1 or F6
+    among its six vertices (the connecting edges either miss a matching or
+    close a chorded four-cycle; F7 is excluded by the K4 test).  A pair
+    {w, a, b}, {w, c, d} sharing one vertex w combines with a triangle
+    {a, c, z} avoiding w into six vertices that induce F5, the 3-sun with
+    inner triangle w, a, c: an extra edge among them either completes a
+    K4 with that inner triangle (b-c, a-d, w-z), or joins two outer
+    vertices and closes a four-cycle through two inner ones (b-d-c-a,
+    b-z-c-w, d-z-a-w) whose chords would each complete a K4, so the cycle
+    is chordless; g is chordal and K4-free, so neither can happen.
+    ``solve_certifying`` checks that witness like every other.  With an
+    empty bipartizer set one of these configurations always exists.
+    ``cliques`` are ``g``'s PEO cliques (``ChordalityCertificate``) if the
+    caller has them.
     """
     if cliques is None:
         cliques = _cliques(g)
@@ -277,9 +284,7 @@ def extract_unbipartizable_obstruction(
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
             if not sets[i] & sets[j]:
-                return _induced_member_within(
-                    g, set(sets[i] | sets[j]), ("F7", "F6", "F1")
-                )
+                return _induced_member_within(g, set(sets[i] | sets[j]), ("F6", "F1"))
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
             shared = sets[i] & sets[j]
@@ -293,9 +298,7 @@ def extract_unbipartizable_obstruction(
                 # two shared vertices would close a complete quadruple,
                 # excluded above
                 raise RuntimeError("internal error: unexpected triangle overlap")
-            return _induced_member_within(
-                g, set(sets[i] | sets[j] | c), ("F7", "F5")
-            )
+            return ObstructionKind("F5"), sets[i] | sets[j] | c
     raise RuntimeError("internal error: no obstruction found with empty bipartizer set")
 
 

@@ -4,13 +4,14 @@ The references below are the straightforward pair-scanning versions of
 ``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
 ``induced``, the bit-at-a-time graph6 codec, the case analysis that
 scanned for triangles and K4s and ran one BFS variant per need, and the
-colour/parent-list bipartiteness test, the dict-parent hole search and
-the pairwise hole check.  The
+colour/parent-list bipartiteness test, the dict-parent hole search, the
+pairwise hole check, the pattern order built with a pair scan per step and
+the catalogue scan that tried every fan with at most n vertices.  The
 library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
-bipartizer sets, colourings and certificate JSON on every input; odd
-cycles and holes found by a layer search need only be valid and, for
-holes, as long as the reference's.
+bipartizer sets, colourings, certificate JSON and scan witnesses on every
+input; odd cycles and holes found by a layer search need only be valid
+and, for holes, as long as the reference's.
 """
 
 import importlib.util
@@ -31,7 +32,10 @@ from mpartition import (
     ObstructionKind,
     VertexSet,
     bipartizer_set,
+    contains_induced,
+    fan,
     fan_kind,
+    find_obstruction_by_scan,
     is_bipartite,
     Pattern,
     PartitionViolation,
@@ -43,13 +47,16 @@ from mpartition import (
     to_graph6,
     verify_assignment,
 )
+from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.chordal import _hole_through, _lex_bfs, lex_bfs, verify_hole
 from mpartition.graph import (
     BipartitenessCertificate,
+    _pattern_order,
     bits,
     component_masks,
     cycle_graph,
     disjoint_union,
+    path_graph,
 )
 from mpartition.solver import (
     Witness,
@@ -1201,3 +1208,80 @@ def test_verify_hole_rejects_short_repeated_and_chorded_tuples():
     assert not verify_hole(Graph(6, c6.edges() + [(0, 3)]), (0, 1, 2, 3, 4, 5))
     assert not verify_hole(c6, (0, 1, 2, 3, 4, 6))
     assert not verify_hole(c6, (-1, 0, 1, 2))
+
+
+# ---------------------------------------------------------------------------
+# the pattern order of the embedding search, and the catalogue scan
+# ---------------------------------------------------------------------------
+
+
+def ref_pattern_order(h: Graph) -> list[int]:
+    # Place high-degree vertices first and keep each new vertex attached to
+    # the placed prefix when possible, so constraint masks prune early.
+    remaining = set(range(h.n))
+    order: list[int] = []
+    while remaining:
+        best = None
+        for v in sorted(remaining):
+            placed_neighbors = sum(1 for u in order if h.has_edge(u, v))
+            key = (-placed_neighbors, -h.degree(v), v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        order.append(best[1])
+        remaining.discard(best[1])
+    return order
+
+
+def test_pattern_order_matches_reference_on_catalogue_and_fans():
+    for tag in FINITE_MINIMAL_TAGS:
+        h = catalogue_graph(tag)
+        assert _pattern_order(h) == ref_pattern_order(h)
+    for k in range(2, 41):
+        assert _pattern_order(fan(k)) == ref_pattern_order(fan(k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs)
+def test_pattern_order_matches_reference(g):
+    assert _pattern_order(g) == ref_pattern_order(g)
+
+
+def ref_find_obstruction_by_scan(g: Graph):
+    """F1..F7 in tag order, then every fan with at most n vertices."""
+    for tag in FINITE_MINIMAL_TAGS:
+        witness = contains_induced(g, catalogue_graph(tag))
+        if witness is not None:
+            return ObstructionKind(tag), witness
+    k = 2
+    while 2 * k + 3 <= g.n:
+        witness = contains_induced(g, fan(k))
+        if witness is not None:
+            return fan_kind(k), witness
+        k += 1
+    return None
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on at most 12 vertices of any density, holes included, or a
+    random_chordal graph of that size."""
+    n = draw(st.integers(0, 12))
+    if n and draw(st.booleans()):
+        return random_chordal(n, draw(st.floats(0.0, 1.0)), draw(st.integers(0, 2**32)))
+    p = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs())
+def test_scan_matches_unbounded_reference(g):
+    assert find_obstruction_by_scan(g) == ref_find_obstruction_by_scan(g)
+
+
+def test_scan_matches_unbounded_reference_on_fan_hosts():
+    # with m <= 1 the fan's apex has the maximum degree 2k, the bound itself
+    for k in range(2, 9):
+        for m in range(5):
+            g = disjoint_union(fan(k), path_graph(m))
+            assert find_obstruction_by_scan(g) == ref_find_obstruction_by_scan(g)
