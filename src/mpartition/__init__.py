@@ -29,7 +29,6 @@ from .graph import (
     VertexSet,
     components,
     contains_induced,
-    contains_subgraph,
     from_edgelist,
     from_graph6,
     induced,
@@ -41,7 +40,6 @@ from .graph import (
 )
 from .patterns import (
     M1,
-    Assignment,
     Pattern,
     PartitionViolation,
     is_minimal_obstruction,
@@ -60,7 +58,6 @@ from .solver import (
 )
 
 __all__ = [
-    "Assignment",
     "ChordalityCertificate",
     "Graph",
     "Graph6Error",
@@ -75,7 +72,6 @@ __all__ = [
     "canonical_key",
     "components",
     "contains_induced",
-    "contains_subgraph",
     "enumerate_connected_chordal",
     "extract_unbipartizable_obstruction",
     "fan",

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, bfs_layers, bits, component_masks, to_graph6, tree_path
+from .graph import Graph, bfs_layers, bits, to_graph6, tree_path
 
 
 @dataclass(frozen=True)
@@ -106,27 +106,6 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
                 if q >= 0:
                     prev[q] = d
     return order, parent
-
-
-def lex_bfs(g: Graph) -> list[int]:
-    """Lexicographic BFS order; ties broken toward the lowest vertex id."""
-    return _lex_bfs(g)[0]
-
-
-def verify_peo(g: Graph, order: list[int] | tuple[int, ...]) -> bool:
-    """Definition-level check: later neighbours of each vertex are a clique."""
-    if sorted(order) != list(range(g.n)):
-        return False
-    pos = [0] * g.n
-    for i, v in enumerate(order):
-        pos[v] = i
-    for v in range(g.n):
-        later = [u for u in bits(g.adj[v]) if pos[u] > pos[v]]
-        for i, a in enumerate(later):
-            for b in later[i + 1:]:
-                if not g.has_edge(a, b):
-                    return False
-    return True
 
 
 def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
@@ -355,10 +334,6 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
         level = grown
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(component_masks(g)) == 1
-
-
 __all__ = [
     "ChordalityCertificate",
     "MAX_ENUMERATION_N",
@@ -367,9 +342,6 @@ __all__ = [
     "canonical_labelling",
     "enumerate_connected_chordal",
     "is_chordal",
-    "is_connected",
-    "lex_bfs",
     "random_chordal",
     "verify_hole",
-    "verify_peo",
 ]

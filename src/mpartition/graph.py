@@ -5,8 +5,8 @@ Python int used as a bitset, so the subset/intersection tests that dominate
 pattern detection and enumeration are single word-parallel operations.
 
 The module also carries the graph interchange formats (graph6, plain edge
-lists, DOT), the small-pattern search primitives (induced and ordinary
-subgraph embedding) and the one breadth-first search of the package:
+lists, DOT), the small-pattern search primitive (induced subgraph
+embedding) and the one breadth-first search of the package:
 ``bfs_layers`` returns a component's layers as bitsets, and a vertex's
 tree parent is its lowest neighbour in the previous layer
 (``tree_path``).  Components, depth-parity colourings, edges inside a
@@ -322,10 +322,9 @@ def _pattern_order(h: Graph) -> list[int]:
     return order
 
 
-def _embed(g: Graph, h: Graph, induced_mode: bool) -> dict[int, int] | None:
-    """Injective map of h into g, edge-preserving (and non-edge-preserving
-    when ``induced_mode``).  Deterministic: candidates tried in ascending
-    vertex order."""
+def _embed(g: Graph, h: Graph) -> dict[int, int] | None:
+    """Injective map of h into g that preserves edges and non-edges.
+    Deterministic: candidates tried in ascending vertex order."""
     if h.n > g.n:
         return None
     order = _pattern_order(h)
@@ -342,7 +341,7 @@ def _embed(g: Graph, h: Graph, induced_mode: bool) -> dict[int, int] | None:
         for u in order[:step]:
             if h.has_edge(u, x):
                 cand &= g.adj[image[u]]
-            elif induced_mode:
+            else:
                 cand &= ~g.adj[image[u]]
         for v in bits(cand):
             if gdeg[v] < hdeg[x]:
@@ -360,13 +359,8 @@ def _embed(g: Graph, h: Graph, induced_mode: bool) -> dict[int, int] | None:
 
 def contains_induced(g: Graph, h: Graph) -> VertexSet | None:
     """Vertex set of g inducing a copy of h, or None if h is not induced."""
-    emb = _embed(g, h, induced_mode=True)
+    emb = _embed(g, h)
     return frozenset(emb.values()) if emb is not None else None
-
-
-def contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:
-    """Injective edge-preserving map h -> g (chords in g allowed), or None."""
-    return _embed(g, h, induced_mode=False)
 
 
 def is_isomorphic(a: Graph, b: Graph) -> bool:
@@ -374,7 +368,7 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
         return False
     if sorted(map(a.degree, range(a.n))) != sorted(map(b.degree, range(b.n))):
         return False
-    return _embed(a, b, induced_mode=True) is not None
+    return _embed(a, b) is not None
 
 
 # ---------------------------------------------------------------------------

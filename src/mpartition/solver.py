@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
+from itertools import combinations
 from operator import and_, or_
 
 from .catalogue import ObstructionKind, catalogue_graph, fan_kind, obstruction_size
@@ -41,7 +42,6 @@ from .graph import (
     VertexSet,
     bfs_layers,
     bits,
-    contains_induced,
     induced,
     is_bipartite,
     is_isomorphic,
@@ -238,18 +238,33 @@ def _yes(n: int, part1: int, part2: int = 0) -> M1Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _induced_member_within(
-    g: Graph, region: set[int], tags: tuple[str, ...]
-) -> Witness:
-    sub_vertices = sorted(region)
-    sub = induced(g, region)
-    for tag in tags:
-        hit = contains_induced(sub, catalogue_graph(tag))
-        if hit is not None:
-            return ObstructionKind(tag), frozenset(sub_vertices[i] for i in hit)
-    raise RuntimeError(
-        f"internal error: no member of {tags} induced within {sorted(region)}"
-    )
+def _disjoint_triangle_witness(g: Graph, region: VertexSet) -> Witness:
+    """F6 or F1 within the six vertices ``region`` of two disjoint
+    triangles {a, b, c} and {x, y, z} of a chordal, K4-free graph.
+
+    A vertex with three cross neighbours closes a K4, and two disjoint
+    cross edges a-x, b-y need exactly one diagonal a-y or b-x (none
+    leaves the chordless cycle a-x-y-b, both close a K4).  So three
+    cross edges form a path x-a-y-b, which with the triangles is F6, and
+    no fourth fits: the six vertices induce F6 iff they span 9 edges.
+    With at most two cross edges, the non-neighbours of one triangle
+    keep an edge of the other, an F1.  The one returned, the first
+    triangle in lexicographic order whose non-neighbours in ``region``
+    span an edge, with the first such edge, is the F1 that a search in
+    ascending vertex order finds first.
+    """
+    adj = g.adj
+    r = sum(1 << v for v in region)
+    if sum((adj[v] & r).bit_count() for v in region) == 18:
+        return ObstructionKind("F6"), region
+    for a, b, c in combinations(sorted(region), 3):
+        if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+            far = r & ~(adj[a] | adj[b] | adj[c] | 1 << a | 1 << b | 1 << c)
+            for u in bits(far):
+                if adj[u] & far:
+                    edge = (u, lowest(adj[u] & far))
+                    return ObstructionKind("F1"), frozenset((a, b, c, *edge))
+    raise RuntimeError(f"internal error: no F6 or F1 within {sorted(region)}")
 
 
 def extract_unbipartizable_obstruction(
@@ -259,9 +274,9 @@ def extract_unbipartizable_obstruction(
 
     A complete subgraph on four vertices is an immediate F7.  Otherwise at
     most one triangle closes over each vertex, so all triangles are listed
-    and compared pairwise.  A disjoint pair carries an induced F1 or F6
-    among its six vertices (the connecting edges either miss a matching or
-    close a chorded four-cycle; F7 is excluded by the K4 test).  A pair
+    and compared pairwise.  The first disjoint pair spans F6 if its six
+    vertices span 9 edges and holds an F1 otherwise
+    (``_disjoint_triangle_witness``).  A pair
     {w, a, b}, {w, c, d} sharing one vertex w combines with a triangle
     {a, c, z} avoiding w into six vertices that induce F5, the 3-sun with
     inner triangle w, a, c: an extra edge among them either completes a
@@ -284,7 +299,7 @@ def extract_unbipartizable_obstruction(
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
             if not sets[i] & sets[j]:
-                return _induced_member_within(g, set(sets[i] | sets[j]), ("F6", "F1"))
+                return _disjoint_triangle_witness(g, sets[i] | sets[j])
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
             shared = sets[i] & sets[j]

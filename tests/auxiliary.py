@@ -1,10 +1,14 @@
-"""Three non-minimal six-vertex blockers for acceptance criterion 4.
+"""Test-only graph helpers.
 
-Each has an empty bipartizer set and contains an induced F1, so the
-solver never emits them and the library's catalogue leaves them out.
+Three non-minimal six-vertex blockers for acceptance criterion 4: each
+has an empty bipartizer set and contains an induced F1, so the solver
+never emits them and the library's catalogue leaves them out.  Beside
+them, the two graph predicates that only tests need: connectivity and
+(not necessarily induced) subgraph containment.
 """
 
 from mpartition import Graph
+from mpartition.graph import _pattern_order, bits, component_masks
 
 AUXILIARY_EDGE_LISTS = {
     # two disjoint triangles
@@ -20,3 +24,37 @@ AUXILIARY_TAGS = tuple(AUXILIARY_EDGE_LISTS)
 def auxiliary_graph(tag: str) -> Graph:
     n, edges = AUXILIARY_EDGE_LISTS[tag]
     return Graph(n, edges)
+
+
+def is_connected(g: Graph) -> bool:
+    return g.n == 0 or len(component_masks(g)) == 1
+
+
+def contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:
+    """Injective edge-preserving map h -> g (chords in g allowed), or None.
+    Backtracking in the library's pattern order, candidates tried in
+    ascending vertex order."""
+    if h.n > g.n:
+        return None
+    order = _pattern_order(h)
+    full = (1 << g.n) - 1
+    image = [-1] * h.n
+
+    def place(step: int, used: int) -> bool:
+        if step == len(order):
+            return True
+        x = order[step]
+        cand = full & ~used
+        for u in order[:step]:
+            if h.has_edge(u, x):
+                cand &= g.adj[image[u]]
+        for v in bits(cand):
+            if g.degree(v) < h.degree(x):
+                continue
+            image[x] = v
+            if place(step + 1, used | (1 << v)):
+                return True
+        image[x] = -1
+        return False
+
+    return {x: image[x] for x in range(h.n)} if place(0, 0) else None

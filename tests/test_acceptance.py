@@ -14,7 +14,6 @@ from mpartition import (
     bipartizer_set,
     canonical_key,
     contains_induced,
-    contains_subgraph,
     enumerate_connected_chordal,
     fan_kind,
     find_obstruction_by_scan,
@@ -29,9 +28,8 @@ from mpartition import (
     verify_certificate,
 )
 from mpartition.catalogue import catalogue_graph
-from mpartition.chordal import is_connected
 
-from auxiliary import auxiliary_graph
+from auxiliary import auxiliary_graph, contains_subgraph, is_connected
 
 
 def triangles_of(g):

@@ -13,13 +13,10 @@ from mpartition import (
     to_graph6,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.chordal import (
-    is_connected,
-    lex_bfs,
-    verify_hole,
-    verify_peo,
-)
+from mpartition.chordal import _lex_bfs, verify_hole
 from mpartition.graph import bits, complete_graph, cycle_graph, path_graph
+
+from auxiliary import is_connected
 
 
 def random_graph(n, p, seed):
@@ -27,6 +24,22 @@ def random_graph(n, p, seed):
     return Graph(
         n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
     )
+
+
+def verify_peo(g, order):
+    """Definition-level check: later neighbours of each vertex are a clique."""
+    if sorted(order) != list(range(g.n)):
+        return False
+    pos = [0] * g.n
+    for i, v in enumerate(order):
+        pos[v] = i
+    for v in range(g.n):
+        later = [u for u in bits(g.adj[v]) if pos[u] > pos[v]]
+        for i, a in enumerate(later):
+            for b in later[i + 1:]:
+                if not g.has_edge(a, b):
+                    return False
+    return True
 
 
 def simplicial_peeling_empties(g):
@@ -93,8 +106,8 @@ def test_verify_peo_rejects_bad_orders():
 
 
 def test_lex_bfs_tie_breaking_is_lowest_id():
-    assert lex_bfs(Graph(4)) == [0, 1, 2, 3]
-    assert lex_bfs(complete_graph(3)) == [0, 1, 2]
+    assert _lex_bfs(Graph(4))[0] == [0, 1, 2, 3]
+    assert _lex_bfs(complete_graph(3))[0] == [0, 1, 2]
 
 
 # -- random generation -------------------------------------------------------

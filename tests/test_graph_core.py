@@ -8,7 +8,6 @@ from mpartition import (
     Graph6Error,
     components,
     contains_induced,
-    contains_subgraph,
     fan,
     from_edgelist,
     from_graph6,
@@ -25,6 +24,8 @@ from mpartition.graph import (
     disjoint_union,
     path_graph,
 )
+
+from auxiliary import contains_subgraph
 
 
 def brute_force_isomorphic(a, b):

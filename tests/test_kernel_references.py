@@ -1,7 +1,7 @@
 """Differential tests of the bitset kernels against pairwise references.
 
 The references below are the straightforward pair-scanning versions of
-``lex_bfs``, the PEO check of ``is_chordal``, ``verify_assignment`` and
+LexBFS, the PEO check of ``is_chordal``, ``verify_assignment`` and
 ``induced``, the bit-at-a-time graph6 codec, the case analysis that
 scanned for triangles and K4s and ran one BFS variant per need, and the
 colour/parent-list bipartiteness test, the dict-parent hole search, the
@@ -15,6 +15,7 @@ and, for holes, as long as the reference's.
 """
 
 import importlib.util
+import itertools
 import random
 import sys
 from functools import reduce
@@ -48,7 +49,7 @@ from mpartition import (
     verify_assignment,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.chordal import _hole_through, _lex_bfs, lex_bfs, verify_hole
+from mpartition.chordal import _hole_through, _lex_bfs, verify_hole
 from mpartition.graph import (
     BipartitenessCertificate,
     _pattern_order,
@@ -60,10 +61,11 @@ from mpartition.graph import (
 )
 from mpartition.solver import (
     Witness,
+    _disjoint_triangle_witness,
     _first_clique,
-    _induced_member_within,
     _no,
     _peo_bipartizers,
+    extract_unbipartizable_obstruction,
 )
 from mpartition.patterns import ONE, STAR
 
@@ -187,7 +189,7 @@ any_graphs = st.one_of(arbitrary_graphs(), chordal_graphs(), near_chordal_graphs
 @settings(max_examples=300, deadline=None)
 @given(any_graphs)
 def test_lex_bfs_matches_reference(g):
-    assert lex_bfs(g) == ref_lex_bfs(g)
+    assert _lex_bfs(g)[0] == ref_lex_bfs(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -545,6 +547,20 @@ def ref_all_triangles(g: Graph) -> list[tuple[int, int, int]]:
     return out
 
 
+def ref_induced_member_within(
+    g: Graph, region: set[int], tags: tuple[str, ...]
+) -> Witness:
+    sub_vertices = sorted(region)
+    sub = induced(g, region)
+    for tag in tags:
+        hit = contains_induced(sub, catalogue_graph(tag))
+        if hit is not None:
+            return ObstructionKind(tag), frozenset(sub_vertices[i] for i in hit)
+    raise RuntimeError(
+        f"internal error: no member of {tags} induced within {sorted(region)}"
+    )
+
+
 def ref_extract_unbipartizable_obstruction(g: Graph) -> Witness:
     """Witness for a chordal graph whose bipartizer set is empty.
 
@@ -565,7 +581,7 @@ def ref_extract_unbipartizable_obstruction(g: Graph) -> Witness:
     for i in range(len(triangles)):
         for j in range(i + 1, len(triangles)):
             if not sets[i] & sets[j]:
-                return _induced_member_within(
+                return ref_induced_member_within(
                     g, set(sets[i] | sets[j]), ("F7", "F6", "F1")
                 )
     for i in range(len(triangles)):
@@ -582,7 +598,7 @@ def ref_extract_unbipartizable_obstruction(g: Graph) -> Witness:
                 # two shared vertices would close a complete quadruple,
                 # excluded above
                 raise RuntimeError("internal error: unexpected triangle overlap")
-            return _induced_member_within(
+            return ref_induced_member_within(
                 g, set(sets[i] | sets[j] | c), ("F7", "F5")
             )
     raise RuntimeError("internal error: no obstruction found with empty bipartizer set")
@@ -912,6 +928,38 @@ def test_case_analysis_matches_reference(g):
 def test_bipartizer_set_matches_reference_on_any_graph(g):
     # holed graphs too, where a layer edge need not close a triangle
     assert bipartizer_set(g) == ref_bipartizer_set(g)
+
+
+def disjoint_triangle_hosts():
+    """Every labelled chordal, K4-free graph on 0..5 made of the triangles
+    {0, 1, 2} and {3, 4, 5} and some of the 9 edges between them, under
+    all 720 relabellings: the distinct graphs, and how many edge sets of
+    the unlabelled form passed."""
+    cross = list(itertools.product(range(3), range(3, 6)))
+    base = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
+    kept = []
+    for mask in range(1 << len(cross)):
+        g = Graph(6, base + [e for i, e in enumerate(cross) if mask >> i & 1])
+        cert = is_chordal(g)
+        if cert and max(map(int.bit_count, cert.cliques)) == 3:
+            kept.append(g)
+    hosts = {
+        Graph(6, [(perm[u], perm[v]) for u, v in g.edges()])
+        for g in kept
+        for perm in itertools.permutations(range(6))
+    }
+    return kept, sorted(hosts, key=lambda g: g.edges())
+
+
+def test_disjoint_triangle_rule_matches_search_on_every_labelling():
+    # the rule names the very F6 or F1 that the embedder finds first
+    kept, hosts = disjoint_triangle_hosts()
+    assert (len(kept), len(hosts)) == (64, 640)
+    region = frozenset(range(6))
+    for g in hosts:
+        expected = ref_induced_member_within(g, set(region), ("F6", "F1"))
+        assert _disjoint_triangle_witness(g, region) == expected
+        assert extract_unbipartizable_obstruction(g) == expected
 
 
 def bench_pools():
