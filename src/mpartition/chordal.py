@@ -1,18 +1,17 @@
 """Chordality with certificates, random generation, and exhaustive
 enumeration of small connected chordal graphs up to isomorphism.
 
-Recognition runs lexicographic BFS and checks the reversed visit order as a
-perfect elimination ordering.  LexBFS works by ordered partition
-refinement (Rose, Tarjan & Lueker 1976): the unvisited vertices sit in a
-list of classes of equal label, kept as bitsets; visiting a vertex moves
-its unvisited neighbours of each class into a new class just before it,
-and the next vertex is the lowest id of the first class.  Each edge is
-handled once, when its first endpoint is visited, so the search costs
-O(n + m) steps, each a bitset operation on n-bit ints.  The PEO check
-tests one bitset of earlier-visited neighbours per vertex against its
-parent's neighbourhood.  A failed check yields a hole (a chordless cycle
-of length at least four) through the failing vertex by one layer search,
-checked in O(k) mask steps, so callers get a verifiable answer either way.
+Recognition is one lexicographic BFS sweep that checks the reversed visit
+order as a perfect elimination ordering as it goes.  LexBFS works by
+ordered partition refinement (Rose, Tarjan & Lueker 1976): the unvisited
+vertices sit in a list of classes of equal label, kept as bitsets;
+visiting a vertex moves its unvisited neighbours of each class into a new
+class just before it, and the next vertex is the lowest id of the first
+class.  Each edge is handled once, when its first endpoint is visited, so
+the sweep costs O(n + m) steps, each a bitset operation on n-bit ints.
+Each visit also tests the vertex's earlier neighbours against the last
+of them.  A failed test yields a hole (a chordless cycle of length at
+least four) through the last failing vertex by one layer search.
 
 Enumeration grows graphs one simplicial vertex at a time: removing a
 simplicial vertex from a connected graph keeps it connected, so every
@@ -26,7 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, bfs_layers, bits, to_graph6, tree_path
+from .graph import Graph, bfs_layers, bits, lowest, to_graph6, tree_path
 
 
 @dataclass(frozen=True)
@@ -49,21 +48,22 @@ class ChordalityCertificate:
         return self.peo is not None
 
 
-def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
-    """LexBFS order, and for each vertex its neighbour visited last before
-    it (-1 for none)."""
+def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | None]:
+    """One LexBFS sweep: the visit order, its PEO cliques and the last PEO
+    check failure ``(v, p, bad)`` or None; p is v's neighbour visited last
+    before it, ``bad`` the bitset of v's earlier neighbours that p misses."""
     n = g.n
     adj = g.adj
     order: list[int] = []
-    parent = [-1] * n
-    if n == 0:
-        return order, parent
+    cliques: list[int] = []
+    failure = None
     # Classes of unvisited vertices with equal labels, highest label first:
     # masks by class id, linked through prev/nxt from head.
     members = [(1 << n) - 1]
     prev = [-1]
     nxt = [-1]
     cls = [0] * n
+    parent = [-1] * n
     head = 0
     unvisited = (1 << n) - 1
     for _ in range(n):
@@ -78,8 +78,20 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
             if head >= 0:
                 prev[head] = -1
         nb = adj[v] & unvisited
+        # the reverse is a PEO iff v's earlier neighbours see the last one, p
+        earlier = adj[v] ^ nb
+        if earlier & (earlier - 1):
+            p = parent[v]
+            bad = earlier & ~(adj[p] | 1 << p)
+            if bad:
+                failure = v, p, bad
+            cliques.append(earlier | low)
         split: dict[int, int] = {}
-        for w in bits(nb):
+        rest = nb
+        while rest:  # bits(nb), inlined
+            lw = rest & -rest
+            w = lw.bit_length() - 1
+            rest ^= lw
             parent[w] = v
             c = cls[w]
             d = split.get(c)
@@ -87,14 +99,14 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
                 # neighbours of v outrank the rest of their class
                 d = split[c] = len(members)
                 members.append(0)
-                p = prev[c]
-                prev.append(p)
+                q = prev[c]
+                prev.append(q)
                 nxt.append(c)
                 prev[c] = d
-                if p < 0:
+                if q < 0:
                     head = d
                 else:
-                    nxt[p] = d
+                    nxt[q] = d
             cls[w] = d
         for c, d in split.items():
             moved = members[c] & nb
@@ -105,7 +117,8 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
                 nxt[d] = q
                 if q >= 0:
                     prev[q] = d
-    return order, parent
+    cliques.reverse()
+    return order, cliques, failure
 
 
 def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
@@ -123,8 +136,8 @@ def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
 def is_chordal(g: Graph) -> ChordalityCertificate:
     """Perfect elimination ordering if chordal, otherwise a hole.
 
-    If the check fails at v, with p the neighbour visited last before v
-    and w the lowest earlier neighbour of v that p misses, v and a
+    If the sweep's check fails last at v, with p the neighbour visited last
+    before v and w the lowest earlier neighbour of v that p misses, v and a
     shortest p-w path avoiding v's other neighbours form a hole.  That
     path exists: the order cut at v is a LexBFS of the subgraph H on v
     and the vertices before it, and its last vertex v lies in a moplex M
@@ -135,27 +148,15 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
     of H - N(M) other than M, which avoids N[v] = M + N(M).  A missing or
     invalid hole is therefore an internal error.
     """
-    order, parent = _lex_bfs(g)
-    earlier = (1 << g.n) - 1
-    cliques = []
-    # The reversed order is a PEO iff, for each vertex v, the neighbours
-    # visited before v are adjacent to the last of them.
-    for v in reversed(order):
-        earlier ^= 1 << v
-        later = g.adj[v] & earlier
-        if not later:
-            continue
-        p = parent[v]
-        bad = later & ~(g.adj[p] | 1 << p)
-        if bad:
-            w = (bad & -bad).bit_length() - 1
-            hole = _hole_through(g, v, p, w)
-            if hole is None or not verify_hole(g, hole):
-                raise RuntimeError(f"internal error: no hole through {p}, {v}, {w}")
-            return ChordalityCertificate(None, hole)
-        if later & (later - 1):
-            cliques.append(later | 1 << v)
-    return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
+    order, cliques, failure = _lex_bfs(g)
+    if failure is None:
+        return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
+    v, p, bad = failure
+    w = lowest(bad)
+    hole = _hole_through(g, v, p, w)
+    if hole is None or not verify_hole(g, hole):
+        raise RuntimeError(f"internal error: no hole through {p}, {v}, {w}")
+    return ChordalityCertificate(None, hole)
 
 
 def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:
@@ -193,12 +194,10 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
     for v in range(1, n):
         anchor = rng.randrange(v)
         clique = [anchor]
-        clique_mask = 1 << anchor
         cand = adj[anchor] & ((1 << v) - 1)
         while cand:
             w = rng.choice(list(bits(cand)))
             clique.append(w)
-            clique_mask |= 1 << w
             cand &= adj[w]
         size = 1
         while size < len(clique) and (attach_bias <= 0.0 or rng.random() > attach_bias):

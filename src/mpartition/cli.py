@@ -64,12 +64,15 @@ class _InputError(Exception):
 
 def _reader(read):
     """``read``, raising its ValueError or OSError (or the RecursionError
-    of too deeply nested JSON) as an input error."""
+    of too deeply nested JSON, or the MemoryError of an input too large to
+    hold) as an input error."""
 
     @functools.wraps(read)
     def checked(*args):
         try:
             return read(*args)
+        except MemoryError as exc:
+            raise _InputError("input too large for the available memory") from exc
         except (ValueError, OSError, RecursionError) as exc:
             raise _InputError(exc) from exc
 

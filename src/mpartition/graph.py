@@ -431,13 +431,10 @@ def _layer_edges(g: Graph, removed: int = 0) -> Iterator[tuple[list[int], tuple 
                             for u in bits(layer) if adj[u] & layer), None)
 
 
-def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, list[int], int] | None:
-    """The first edge of :func:`_layer_edges` as ``(u, w, layers, d)``;
-    None if there is none, that is, if g minus ``removed`` is bipartite."""
-    for layers, edge in _layer_edges(g, removed):
-        if edge:
-            return edge[0], edge[1], layers, edge[2]
-    return None
+def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, int] | None:
+    """The first edge ``(u, w, d)`` of :func:`_layer_edges`; None if there
+    is none, that is, if g minus ``removed`` is bipartite."""
+    return next((edge for _, edge in _layer_edges(g, removed) if edge), None)
 
 
 def odd_depth(g: Graph) -> int:

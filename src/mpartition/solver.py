@@ -447,10 +447,9 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             raise RuntimeError("internal error: hub vertex is not the only bipartizer")
         return _no(ObstructionKind("F1"), set(tri) | {x2, x3})
 
-    # structure forced by chordality and the unique bipartizer
+    # structure forced by chordality and the unique bipartizer: pendant
+    # outer vertices, so the outer layer is independent too
     for v in bits(outer_mask):
-        if g.adj[v] & outer_mask:
-            raise RuntimeError("internal error: outer layer is not independent")
         if g.degree(v) != 1:
             raise RuntimeError("internal error: outer vertices must be pendant")
 
@@ -486,7 +485,8 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
         )
 
     # spoke trees: even depth from the root in part 1, odd depth and the
-    # outer (pendant) vertices in part 0
+    # outer (pendant) vertices in part 0.  g minus the hub is bipartite, so
+    # parity from the root is parity from the seed, flipped if root is odd.
     outside = ~spoke_mask
     part1 = 0
     remaining = spoke_mask
@@ -496,10 +496,11 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
         comp = reduce(or_, tree)
         attached_here = comp & attach_mask
         root = lowest(attached_here) if attached_here else seed
-        if root != seed:
-            tree = bfs_layers(g, root, outside)
         odd = reduce(or_, tree[1::2], 0)
+        if odd >> root & 1:
+            odd = comp & ~odd
         if attached_here & odd:
+            tree = bfs_layers(g, root, outside)
             w = lowest(attached_here & odd)
             d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
             if d < 3:

@@ -106,8 +106,9 @@ def test_verify_peo_rejects_bad_orders():
 
 
 def test_lex_bfs_tie_breaking_is_lowest_id():
-    assert _lex_bfs(Graph(4))[0] == [0, 1, 2, 3]
-    assert _lex_bfs(complete_graph(3))[0] == [0, 1, 2]
+    # (order, PEO cliques, last failure of the PEO check)
+    assert _lex_bfs(Graph(4)) == ([0, 1, 2, 3], [], None)
+    assert _lex_bfs(complete_graph(3)) == ([0, 1, 2], [0b111], None)
 
 
 # -- random generation -------------------------------------------------------

@@ -67,6 +67,21 @@ def test_check_parse_error(tmp_path, capsys):
     assert code == 2 and "byte offset" in err
 
 
+def test_check_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # an edge list under the vertex cap can still need more memory than the
+    # process may take: one error line and exit 2, not a traceback
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr("mpartition.cli.from_edgelist", exhausted)
+    path = tmp_path / "p.txt"
+    path.write_text("2 1\n0 1\n")
+    code, out, err = run(capsys, "check", "--format", "edgelist", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_round_trip(tmp_path, capsys):
     gpath = write_graph6(tmp_path, fan(2))
     code, out, _ = run(capsys, "check", gpath)

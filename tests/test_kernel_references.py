@@ -2,16 +2,17 @@
 
 The references below are the straightforward pair-scanning versions of
 LexBFS, the PEO check of ``is_chordal``, ``verify_assignment`` and
-``induced``, the bit-at-a-time graph6 codec, the case analysis that
-scanned for triangles and K4s and ran one BFS variant per need, and the
-colour/parent-list bipartiteness test, the dict-parent hole search, the
-pairwise hole check, the pattern order built with a pair scan per step and
-the catalogue scan that tried every fan with at most n vertices.  The
-library versions must return exactly the same orders, holes, first
-violations, subgraphs, graph6 text, decode errors, triangles, K4s,
-bipartizer sets, colourings, certificate JSON and scan witnesses on every
-input; odd cycles and holes found by a layer search need only be valid
-and, for holes, as long as the reference's.
+``induced``, the partition-refinement LexBFS followed by a separate
+reversed PEO pass (now one sweep), the bit-at-a-time graph6 codec, the
+case analysis that scanned for triangles and K4s and ran one BFS variant
+per need, and the colour/parent-list bipartiteness test, the dict-parent
+hole search, the pairwise hole check, the pattern order built with a pair
+scan per step and the catalogue scan that tried every fan with at most n
+vertices.  The library versions must return exactly the same orders,
+holes, first violations, subgraphs, graph6 text, decode errors,
+triangles, K4s, bipartizer sets, colourings, certificate JSON and scan
+witnesses on every input; odd cycles and holes found by a layer search
+need only be valid and, for holes, as long as the reference's.
 """
 
 import importlib.util
@@ -22,7 +23,7 @@ from functools import reduce
 from pathlib import Path
 
 import networkx as nx
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpartition import (
@@ -49,7 +50,7 @@ from mpartition import (
     verify_assignment,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.chordal import _hole_through, _lex_bfs, verify_hole
+from mpartition.chordal import ChordalityCertificate, _hole_through, _lex_bfs, verify_hole
 from mpartition.graph import (
     BipartitenessCertificate,
     _pattern_order,
@@ -57,6 +58,7 @@ from mpartition.graph import (
     component_masks,
     cycle_graph,
     disjoint_union,
+    odd_depth,
     path_graph,
 )
 from mpartition.solver import (
@@ -107,6 +109,91 @@ def ref_is_chordal(g, find_hole=None):
             if w != parent and not g.has_edge(parent, w):
                 return None, find_hole(g, hint=(v, parent, w))
     return tuple(peo), None
+
+
+def ref_partition_lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
+    """LexBFS order, and for each vertex its neighbour visited last before
+    it (-1 for none)."""
+    n = g.n
+    adj = g.adj
+    order: list[int] = []
+    parent = [-1] * n
+    if n == 0:
+        return order, parent
+    # Classes of unvisited vertices with equal labels, highest label first:
+    # masks by class id, linked through prev/nxt from head.
+    members = [(1 << n) - 1]
+    prev = [-1]
+    nxt = [-1]
+    cls = [0] * n
+    head = 0
+    unvisited = (1 << n) - 1
+    for _ in range(n):
+        first = members[head]
+        low = first & -first
+        v = low.bit_length() - 1
+        order.append(v)
+        unvisited ^= low
+        members[head] = first ^ low
+        if first == low:
+            head = nxt[head]
+            if head >= 0:
+                prev[head] = -1
+        nb = adj[v] & unvisited
+        split: dict[int, int] = {}
+        for w in bits(nb):
+            parent[w] = v
+            c = cls[w]
+            d = split.get(c)
+            if d is None:
+                # neighbours of v outrank the rest of their class
+                d = split[c] = len(members)
+                members.append(0)
+                p = prev[c]
+                prev.append(p)
+                nxt.append(c)
+                prev[c] = d
+                if p < 0:
+                    head = d
+                else:
+                    nxt[p] = d
+            cls[w] = d
+        for c, d in split.items():
+            moved = members[c] & nb
+            members[d] = moved
+            members[c] ^= moved
+            if not members[c]:
+                q = nxt[c]
+                nxt[d] = q
+                if q >= 0:
+                    prev[q] = d
+    return order, parent
+
+
+def ref_two_pass_is_chordal(g: Graph) -> ChordalityCertificate:
+    """LexBFS, then the PEO check as a second pass over the reversed order,
+    stopping at the first failure."""
+    order, parent = ref_partition_lex_bfs(g)
+    earlier = (1 << g.n) - 1
+    cliques = []
+    # The reversed order is a PEO iff, for each vertex v, the neighbours
+    # visited before v are adjacent to the last of them.
+    for v in reversed(order):
+        earlier ^= 1 << v
+        later = g.adj[v] & earlier
+        if not later:
+            continue
+        p = parent[v]
+        bad = later & ~(g.adj[p] | 1 << p)
+        if bad:
+            w = (bad & -bad).bit_length() - 1
+            hole = _hole_through(g, v, p, w)
+            if hole is None or not verify_hole(g, hole):
+                raise RuntimeError(f"internal error: no hole through {p}, {v}, {w}")
+            return ChordalityCertificate(None, hole)
+        if later & (later - 1):
+            cliques.append(later | 1 << v)
+    return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
 
 
 def ref_verify_assignment(g, pattern, assignment):
@@ -923,6 +1010,30 @@ def test_case_analysis_matches_reference(g):
     assert solve_certifying(g).to_json() == ref_certify(g).to_json()
 
 
+def hub_host(paths, pendants):
+    """A hub, the highest id, joined to every vertex of the spoke
+    ``paths``, with one pendant leaf on each spoke in ``pendants``."""
+    spokes = [v for path in paths for v in path]
+    n = len(spokes) + len(pendants) + 1
+    edges = [(u, v) for path in paths for u, v in zip(path, path[1:])]
+    edges += [(v, n - 1) for v in spokes]
+    edges += [(u, len(spokes) + i) for i, u in enumerate(pendants)]
+    return Graph(n, edges)
+
+
+def test_spoke_parity_from_an_odd_seed_matches_reference():
+    # in every spoke path the lowest vertex (the seed of its layer search)
+    # is at odd depth from the lowest spoke holding a pendant (the root)
+    yes = hub_host([[0, 1, 2, 3, 4], [5, 6, 7]], [1, 3, 6])
+    fan2 = hub_host([[0, 1, 2, 3, 4]], [1, 4])
+    for g, decision, kind in ((yes, "yes", None), (fan2, "no", "Fan")):
+        assert bipartizer_set(g) == {g.n - 1}
+        cert = solve_certifying(g)
+        assert cert.decision == decision
+        assert (cert.witness[0].tag if cert.witness else None) == kind
+        assert cert.to_json() == ref_certify(g).to_json()
+
+
 @settings(max_examples=200, deadline=None)
 @given(any_graphs)
 def test_bipartizer_set_matches_reference_on_any_graph(g):
@@ -1107,7 +1218,27 @@ def odd_cycle_hosts(draw):
     return g
 
 
+@st.composite
+def sparse_hosts(draw):
+    """A random_chordal graph (a tree at bias 1.0) among many isolated
+    vertices, relabelled at random."""
+    g = random_chordal(draw(st.integers(1, 30)), draw(st.sampled_from([0.5, 1.0])),
+                       draw(st.integers(0, 2**32)))
+    g = disjoint_union(g, Graph(draw(st.integers(0, 60))))
+    perm = draw(st.permutations(range(g.n)))
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def check_traversals(g):
+    # components by their lowest vertex; odd_depth as depth parity from it
+    nxg = nx_graph(g)
+    comps = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
+    assert component_masks(g) == [sum(1 << v for v in c) for c in comps]
+    odd = 0
+    for c in comps:
+        depth = nx.single_source_shortest_path_length(nxg, c[0])
+        odd |= sum(1 << v for v in c if depth[v] % 2)
+    assert odd_depth(g) == odd
     bip = is_bipartite(g)
     ref = ref_is_bipartite(g)
     assert bip.colouring == ref.colouring
@@ -1118,7 +1249,6 @@ def check_traversals(g):
         assert all(g.has_edge(cycle[i - 1], cycle[i]) for i in range(k))
         # the closing edge (last, first) lies inside one breadth-first
         # layer from the lowest vertex of its component
-        nxg = nx_graph(g)
         root = min(nx.node_connected_component(nxg, cycle[0]))
         depth = nx.single_source_shortest_path_length(nxg, root)
         assert depth[cycle[0]] == depth[cycle[-1]]
@@ -1131,7 +1261,9 @@ def check_traversals(g):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.one_of(any_graphs, case_analysis_graphs(), odd_cycle_hosts()))
+@given(st.one_of(any_graphs, case_analysis_graphs(), odd_cycle_hosts(), sparse_hosts()))
+@example(disjoint_union(random_chordal(50, 1.0, 3), Graph(450)))
+@example(disjoint_union(Graph(450), random_chordal(50, 1.0, 3)))
 def test_traversals_match_references(g):
     check_traversals(g)
 
@@ -1157,17 +1289,16 @@ def test_traversals_match_references_on_odd_cycle_families():
 
 
 def failing_triples(g):
-    """Every (v, parent, w) where the PEO check fails, not only the first:
-    each vertex v, its neighbour visited last before it, and each earlier
-    neighbour of v that the parent misses."""
-    order, parent = _lex_bfs(g)
-    earlier = 0
+    """Every (v, parent, w) where the PEO check fails, not only the last:
+    each vertex v of the sweep's order, its neighbour visited last before
+    it, and each earlier neighbour of v that the parent misses."""
+    order = _lex_bfs(g)[0]
+    pos = {v: i for i, v in enumerate(order)}
     for v in order:
-        later = g.adj[v] & earlier
-        earlier |= 1 << v
-        if later:
-            p = parent[v]
-            yield from ((v, p, w) for w in bits(later & ~(g.adj[p] | 1 << p)))
+        earlier = [u for u in bits(g.adj[v]) if pos[u] < pos[v]]
+        if earlier:
+            p = max(earlier, key=pos.__getitem__)
+            yield from ((v, p, w) for w in earlier if w != p and not g.has_edge(p, w))
 
 
 def check_holes_through_failures(g):
@@ -1177,6 +1308,13 @@ def check_holes_through_failures(g):
         hole = _hole_through(g, v, p, w)
         assert hole is not None and hole[:2] == (v, p) and hole[-1] == w
         assert ref_verify_hole(g, hole) and verify_hole(g, hole)
+    # the sweep keeps the failure of the last vertex visited
+    failure = _lex_bfs(g)[2]
+    if not triples:
+        assert failure is None
+    else:
+        v, p, _ = triples[-1]
+        assert failure == (v, p, sum(1 << w for u, _, w in triples if u == v))
 
 
 @st.composite
@@ -1194,6 +1332,39 @@ def cycles_with_chords_and_tails(draw):
             n += 1
     perm = draw(st.permutations(range(n)))
     return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(any_graphs, cycles_with_chords_and_tails()))
+def test_sweep_matches_two_pass_reference(g):
+    # the same PEO, cliques and hole as LexBFS then a reversed pass
+    assert is_chordal(g) == ref_two_pass_is_chordal(g)
+
+
+def test_sweep_matches_two_pass_reference_on_corpus_and_bench_pools(corpus8):
+    # each bench host also with an edge between its first and last vertex,
+    # which mostly closes a hole far into the order
+    holed = 0
+    for g in [*corpus8, *bench_pools()]:
+        assert is_chordal(g) == ref_two_pass_is_chordal(g)
+        if g.n > 8:
+            g = Graph(g.n, g.edges() + [(0, g.n - 1)])
+            cert = is_chordal(g)
+            assert cert == ref_two_pass_is_chordal(g)
+            holed += not cert
+    assert holed > 100
+
+
+def test_hole_comes_from_the_last_failing_vertex():
+    # two 4-cycles 0-1-2-3 and 2-4-5-6 sharing vertex 2: LexBFS visits
+    # 0, 1, 3, 2, 4, 6, 5, and the check fails at 2 and again at 5
+    g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 2)])
+    order, _, failure = _lex_bfs(g)
+    assert order == [0, 1, 3, 2, 4, 6, 5]
+    assert [t[0] for t in failing_triples(g)] == [2, 5]
+    assert failure == (5, 6, 1 << 4)
+    assert is_chordal(g) == ChordalityCertificate(None, (5, 6, 2, 4))
+    assert is_chordal(g) == ref_two_pass_is_chordal(g)
 
 
 @settings(max_examples=300, deadline=None)
