@@ -42,6 +42,17 @@ def lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def first_edge(g: Graph, mask: int) -> tuple[int, int] | None:
+    """Lexicographically first edge (u, w) with both ends in the bitset
+    ``mask``, or None: u is the lowest vertex of ``mask`` with a neighbour
+    there and w its lowest such neighbour.  No vertex below u has one, so
+    w lies above u."""
+    for u in bits(mask):
+        if g.adj[u] & mask:
+            return u, lowest(g.adj[u] & mask)
+    return None
+
+
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
@@ -103,25 +114,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError("cycles need at least 3 vertices")
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
-    return Graph(a.n + b.n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -423,12 +415,11 @@ def _forest(g: Graph, removed: int = 0) -> Iterator[list[int]]:
 
 def _layer_edges(g: Graph, removed: int = 0) -> Iterator[tuple[list[int], tuple | None]]:
     """Each component's ``layers`` in g minus the bitset ``removed``, with
-    an edge (u, w, d) inside its layer d, or None: u is the lowest such
-    vertex of the first such layer and w its lowest neighbour there."""
-    adj = g.adj
+    the first edge (u, w) inside the first of them that has one, layer d,
+    as (u, w, d), or None."""
     for layers in _forest(g, removed):
-        yield layers, next(((u, lowest(adj[u] & layer), d) for d, layer in enumerate(layers)
-                            for u in bits(layer) if adj[u] & layer), None)
+        edges = ((first_edge(g, layer), d) for d, layer in enumerate(layers))
+        yield layers, next(((*edge, d) for edge, d in edges if edge), None)
 
 
 def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, int] | None:

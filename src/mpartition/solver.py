@@ -11,17 +11,17 @@ the graph directly or point at a concrete obstruction:
 
 * empty set: the host stays non-bipartite after any single deletion, and a
   short triangle analysis always exposes an induced F1, F5, F6 or F7;
-* three bipartizers: they form the unique triangle; the three subtrees
-  hanging off it are bounded by F2/F3/F1 checks;
-* two bipartizers: every triangle shares the same edge; the apex trees and
-  the two side trees are bounded by F1/F2/F3 checks;
+* two or three bipartizers: every triangle holds the same edge, and the
+  unique triangle (three bipartizers) is that edge with one apex; the
+  apex trees and the two side trees are bounded by F1/F2/F3 checks;
 * one bipartizer: the host is a hub of eccentricity two; adjacency and
   path-parity among the spoke trees is bounded by F1/F2/F4/fan checks.
 
 The set, the triangles and the first K4 are read off the cliques of the
 perfect elimination ordering that the chordality test finds
-(``ChordalityCertificate.cliques``), and every traversal is one
-breadth-first layer search on bitsets (``graph.bfs_layers``).
+(``ChordalityCertificate.cliques``), every traversal is one
+breadth-first layer search on bitsets (``graph.bfs_layers``), and every
+"first edge inside a vertex set" is ``graph.first_edge``.
 
 Every certificate is re-verified before it is returned, so a structural
 bug surfaces as an internal error rather than a wrong answer.
@@ -42,6 +42,7 @@ from .graph import (
     VertexSet,
     bfs_layers,
     bits,
+    first_edge,
     induced,
     is_bipartite,
     is_isomorphic,
@@ -204,14 +205,6 @@ def bipartizer_set(g: Graph) -> VertexSet:
     return frozenset(v for v in candidates if layer_edge(g, 1 << v) is None)
 
 
-def _edges_within(g: Graph, mask: int) -> list[tuple[int, int]]:
-    """Edges (u, v), u < v, with both ends in the bitset ``mask``, in
-    lexicographic order."""
-    return [
-        (u, v) for u in bits(mask) for v in bits(g.adj[u] & mask >> (u + 1) << (u + 1))
-    ]
-
-
 def _tree_edge(g: Graph, layers: list[int], d: int) -> tuple[int, int]:
     """Deterministic (depth d-1, depth d) tree edge: the lowest vertex of
     layer d and its neighbour in layer d-1.  That neighbour is unique in
@@ -260,10 +253,9 @@ def _disjoint_triangle_witness(g: Graph, region: VertexSet) -> Witness:
     for a, b, c in combinations(sorted(region), 3):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
             far = r & ~(adj[a] | adj[b] | adj[c] | 1 << a | 1 << b | 1 << c)
-            for u in bits(far):
-                if adj[u] & far:
-                    edge = (u, lowest(adj[u] & far))
-                    return ObstructionKind("F1"), frozenset((a, b, c, *edge))
+            edge = first_edge(g, far)
+            if edge:
+                return ObstructionKind("F1"), frozenset((a, b, c, *edge))
     raise RuntimeError(f"internal error: no F6 or F1 within {sorted(region)}")
 
 
@@ -318,69 +310,41 @@ def extract_unbipartizable_obstruction(
 
 
 # ---------------------------------------------------------------------------
-# three bipartizers: the unique triangle
+# two or three bipartizers: every triangle holds one edge
 # ---------------------------------------------------------------------------
 
 
 def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
     """Certify a non-bipartite chordal graph, connected but for isolated
     vertices (left in part 0), whose bipartizer set is a triangle (then it
-    is the only triangle in the graph)."""
+    is the only triangle in the graph): a shared edge with one apex.
+
+    The apex is the lowest corner with no neighbour off the triangle, else
+    the lowest corner.  Of the other two corners, v1 is the one with a
+    neighbour off the triangle if only one has one, else the lower."""
     b = sorted(bipartizers)
     if len(b) != 3 or not all(
         g.has_edge(u, v) for u, v in ((b[0], b[1]), (b[0], b[2]), (b[1], b[2]))
     ):
         raise RuntimeError("internal error: bipartizers do not induce a triangle")
     tri_mask = sum(1 << v for v in b)
-    trees = {v: bfs_layers(g, v, tri_mask & ~(1 << v)) for v in b}
-    covered = reduce(or_, (layer for layers in trees.values() for layer in layers))
-    if any(g.adj[v] for v in bits(((1 << g.n) - 1) & ~covered)):
-        raise RuntimeError("internal error: triangle trees do not cover the graph")
-
-    heights = {v: len(trees[v]) - 1 for v in b}
-    trivial = [v for v in b if heights[v] == 0]
-    if not trivial:
-        children = [lowest(trees[v][1]) for v in b]
-        return _no(ObstructionKind("F2"), set(b) | set(children))
-    v0 = trivial[0]
-    rest = [v for v in b if v != v0]
-    if heights[rest[0]] >= 2 and heights[rest[1]] >= 2:
-        wit = set(b)
-        for v in rest:
-            wit |= set(_tree_edge(g, trees[v], 2))
-        return _no(ObstructionKind("F3"), wit)
-    # taller tree becomes the depth-2 side; ties keep the lower id first
-    rest.sort(key=lambda v: (-heights[v], v))
-    v1, v2 = rest
-    if heights[v1] >= 3:
-        return _no(ObstructionKind("F1"), set(b) | set(_tree_edge(g, trees[v1], 3)))
-    # v0, v2's children and v1's grandchildren stay in part 0
-    t1 = trees[v1]
-    return _yes(g.n, 1 << v2 | (t1[1] if len(t1) > 1 else 0), 1 << v1)
+    bare = [v for v in b if not g.adj[v] & ~tri_mask]
+    v0 = bare[0] if bare else b[0]
+    v1, v2 = sorted((v for v in b if v != v0), key=lambda v: v in bare)
+    return _shared_edge(g, v1, v2, 1 << v0)
 
 
-# ---------------------------------------------------------------------------
-# two bipartizers: all triangles share one edge
-# ---------------------------------------------------------------------------
-
-
-def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
+def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
     """Certify a non-bipartite chordal graph, connected but for isolated
-    vertices (left in part 0), with exactly two bipartizers (they span the
-    edge common to every triangle)."""
-    b = sorted(bipartizers)
-    if len(b) != 2 or not g.has_edge(b[0], b[1]):
-        raise RuntimeError("internal error: bipartizer pair must span an edge")
-    v1, v2 = b
-    pair_mask = 1 << v1 | 1 << v2
-    apex_mask = g.adj[v1] & g.adj[v2]
+    vertices (left in part 0), whose triangles are the edge v1-v2 with
+    each apex in the bitset ``apex_mask``: the apex trees and the two side
+    trees are bounded by F1/F2/F3 checks."""
+    if not g.has_edge(v1, v2) or not apex_mask:
+        raise RuntimeError("internal error: bipartizers must span a shared edge")
     apexes = list(bits(apex_mask))
-    if len(apexes) < 2:
-        raise RuntimeError("internal error: a unique triangle implies three bipartizers")
-
-    apex_trees = {v: bfs_layers(g, v, pair_mask) for v in apexes}
+    apex_trees = {v: bfs_layers(g, v, 1 << v1 | 1 << v2) for v in apexes}
     for v in apexes:
-        if len(apex_trees[v]) > 2:
+        if len(apex_trees[v]) > 2 and len(apexes) > 1:
             other = min(a for a in apexes if a != v)
             return _no(
                 ObstructionKind("F1"),
@@ -389,33 +353,30 @@ def solve_two_bipartizers(g: Graph, bipartizers: VertexSet) -> M1Certificate:
 
     t1 = bfs_layers(g, v1, apex_mask | 1 << v2)
     t2 = bfs_layers(g, v2, apex_mask | 1 << v1)
+    trees = [*apex_trees.values(), t1, t2]
+    covered = reduce(or_, (layer for layers in trees for layer in layers))
+    if any(g.adj[v] for v in bits(((1 << g.n) - 1) & ~covered)):
+        raise RuntimeError("internal error: shared-edge trees do not cover the graph")
     h1, h2 = len(t1) - 1, len(t2) - 1
 
-    tall_apexes = [v for v in apexes if len(apex_trees[v]) == 2]
-    if tall_apexes:
-        v0 = tall_apexes[0]
-        if h1 >= 1 and h2 >= 1:
-            wit = {v1, v2, v0, lowest(apex_trees[v0][1]), lowest(t1[1]), lowest(t2[1])}
-            return _no(ObstructionKind("F2"), wit)
-        if h2 >= 1:  # keep the trivial side at v2
-            v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
-        if h1 >= 3:
-            return _no(
-                ObstructionKind("F1"), {v1, v2, apexes[0], *_tree_edge(g, t1, 3)}
-            )
-        # v2, the apexes' children and v1's grandchildren stay in part 0
-        return _yes(g.n, apex_mask | (t1[1] if h1 else 0), 1 << v1)
-
-    # every apex is bare: bound the two side trees by F3 then F1
-    if h1 >= 2 and h2 >= 2:
-        wit = {v1, v2, apexes[0], *_tree_edge(g, t1, 2), *_tree_edge(g, t2, 2)}
-        return _no(ObstructionKind("F3"), wit)
-    if h2 >= 2:  # keep the shallow side at v2
+    # both side trees reach height one beside a tall apex (one with a
+    # child): F2; both reach height two beside bare apexes only: F3
+    tall = next((v for v in apexes if len(apex_trees[v]) > 1), None)
+    reach = 2 if tall is None else 1
+    if h1 >= reach and h2 >= reach:
+        if tall is None:
+            wit = {v1, v2, apexes[0], *_tree_edge(g, t1, 2), *_tree_edge(g, t2, 2)}
+            return _no(ObstructionKind("F3"), wit)
+        wit = {v1, v2, tall, lowest(apex_trees[tall][1]), lowest(t1[1]), lowest(t2[1])}
+        return _no(ObstructionKind("F2"), wit)
+    if h2 >= reach:  # keep the shorter side at v2
         v1, v2, t1, t2, h1, h2 = v2, v1, t2, t1, h2, h1
     if h1 >= 3:
         return _no(ObstructionKind("F1"), {v1, v2, apexes[0], *_tree_edge(g, t1, 3)})
-    # the apexes, v2's children and v1's grandchildren stay in part 0
-    return _yes(g.n, 1 << v2 | (t1[1] if h1 else 0), 1 << v1)
+    # v1's grandchildren stay in part 0, and beside a tall apex v2 and the
+    # apexes' children do, else the apexes and v2's children
+    part1 = 1 << v2 if tall is None else apex_mask
+    return _yes(g.n, part1 | (t1[1] if h1 else 0), 1 << v1)
 
 
 # ---------------------------------------------------------------------------
@@ -429,23 +390,16 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
     layers = bfs_layers(g, hub)
     spoke_mask = layers[1] if len(layers) > 1 else 0
     outer_mask = layers[2] if len(layers) > 2 else 0
-    spokes = list(bits(spoke_mask))
 
     if len(layers) > 3:
         x2, x3 = _tree_edge(g, layers, 3)
         x1 = lowest(g.adj[x2] & spoke_mask)
-        # every triangle is the hub and a spoke edge
-        tri = min(
-            (
-                sorted((hub, u, w))
-                for u, w in _edges_within(g, spoke_mask)
-                if x1 not in (u, w)
-            ),
-            default=None,
-        )
-        if tri is None:
+        # every triangle is the hub and a spoke edge, and with the hub in
+        # each the first such edge gives the first triangle
+        edge = first_edge(g, spoke_mask & ~(1 << x1))
+        if edge is None:
             raise RuntimeError("internal error: hub vertex is not the only bipartizer")
-        return _no(ObstructionKind("F1"), set(tri) | {x2, x3})
+        return _no(ObstructionKind("F1"), {hub, *edge, x2, x3})
 
     # structure forced by chordality and the unique bipartizer: pendant
     # outer vertices, so the outer layer is independent too
@@ -455,33 +409,33 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 
     attach: dict[int, int] = {}
     attach_mask = 0
-    for u in spokes:
+    for u in bits(spoke_mask):
         pendant = g.adj[u] & outer_mask
         if pendant:
             attach[u] = lowest(pendant)
             attach_mask |= 1 << u
 
-    for u, w in _edges_within(g, attach_mask):
-        # adjacent spokes both holding pendants: an F2 via any third spoke
-        # clear of both, otherwise second neighbours on both sides give F4
-        loose = [
-            x
-            for x in spokes
-            if x not in (u, w) and not g.has_edge(x, u) and not g.has_edge(x, w)
-        ]
+    edge = first_edge(g, attach_mask)
+    if edge:
+        # adjacent spokes both holding pendants: an F2 via the first third
+        # spoke clear of both, otherwise second neighbours on both sides
+        # give F4.  Without such a spoke the spoke forest is the stars of
+        # u and w joined by u-w: another spoke edge would close a K4 with
+        # the hub or a chordless four-cycle.
+        u, w = edge
+        pair = 1 << u | 1 << w
+        loose = spoke_mask & ~(g.adj[u] | g.adj[w] | pair)
         if loose:
             return _no(
-                ObstructionKind("F2"), {hub, u, w, loose[0], attach[u], attach[w]}
+                ObstructionKind("F2"), {hub, u, w, lowest(loose), attach[u], attach[w]}
             )
-        spoke_edges = _edges_within(g, spoke_mask)
-        eu = next((e for e in spoke_edges if u not in e), None)
-        ew = next((e for e in spoke_edges if w not in e), None)
-        if eu is None or ew is None or w not in eu or u not in ew:
+        pu = g.adj[u] & spoke_mask & ~pair
+        pw = g.adj[w] & spoke_mask & ~pair
+        if not pu or not pw or first_edge(g, spoke_mask & ~pair):
             raise RuntimeError("internal error: spoke forest structure violated")
-        pw = eu[0] if eu[1] == w else eu[1]
-        pu = ew[0] if ew[1] == u else ew[1]
         return _no(
-            ObstructionKind("F4"), {hub, u, w, attach[u], attach[w], pu, pw}
+            ObstructionKind("F4"),
+            {hub, u, w, attach[u], attach[w], lowest(pu), lowest(pw)},
         )
 
     # spoke trees: even depth from the root in part 1, odd depth and the
@@ -527,9 +481,9 @@ def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
     comp = reduce(or_, bfs_layers(g, tri[0]))
     # the lowest vertex outside the triangle's component with an edge
     # starts the first other component that has one
-    for u in bits(((1 << g.n) - 1) & ~comp):
-        if g.adj[u]:
-            return _no(ObstructionKind("F1"), set(tri) | {u, lowest(g.adj[u])})
+    edge = first_edge(g, ((1 << g.n) - 1) & ~comp)
+    if edge:
+        return _no(ObstructionKind("F1"), {*tri, *edge})
     # any other component is an isolated vertex: the cases leave it in part 0
     b = _peo_bipartizers(cliques)
     if not b:
@@ -537,7 +491,8 @@ def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
     if b.bit_count() == 3:
         return solve_unique_triangle(g, frozenset(bits(b)))
     if b.bit_count() == 2:
-        return solve_two_bipartizers(g, frozenset(bits(b)))
+        v1, v2 = bits(b)
+        return _shared_edge(g, v1, v2, g.adj[v1] & g.adj[v2])
     return solve_one_bipartizer(g, lowest(b))
 
 

@@ -3,8 +3,9 @@
 Three non-minimal six-vertex blockers for acceptance criterion 4: each
 has an empty bipartizer set and contains an induced F1, so the solver
 never emits them and the library's catalogue leaves them out.  Beside
-them, the two graph predicates that only tests need: connectivity and
-(not necessarily induced) subgraph containment.
+them, the constructors of complete graphs, paths, cycles and disjoint
+unions, and the two graph predicates that only tests need: connectivity
+and (not necessarily induced) subgraph containment.
 """
 
 from mpartition import Graph
@@ -24,6 +25,25 @@ AUXILIARY_TAGS = tuple(AUXILIARY_EDGE_LISTS)
 def auxiliary_graph(tag: str) -> Graph:
     n, edges = AUXILIARY_EDGE_LISTS[tag]
     return Graph(n, edges)
+
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def cycle_graph(n: int) -> Graph:
+    if n < 3:
+        raise ValueError("cycles need at least 3 vertices")
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    edges = a.edges() + [(u + a.n, v + a.n) for u, v in b.edges()]
+    return Graph(a.n + b.n, edges)
 
 
 def is_connected(g: Graph) -> bool:

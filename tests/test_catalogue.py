@@ -16,9 +16,14 @@ from mpartition import (
     solve,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.graph import complete_graph, disjoint_union, path_graph
 
-from auxiliary import AUXILIARY_TAGS, auxiliary_graph
+from auxiliary import (
+    AUXILIARY_TAGS,
+    auxiliary_graph,
+    complete_graph,
+    disjoint_union,
+    path_graph,
+)
 
 
 def minimal_members():

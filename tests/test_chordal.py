@@ -14,9 +14,9 @@ from mpartition import (
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.chordal import _lex_bfs, verify_hole
-from mpartition.graph import bits, complete_graph, cycle_graph, path_graph
+from mpartition.graph import bits
 
-from auxiliary import is_connected
+from auxiliary import complete_graph, cycle_graph, is_connected, path_graph
 
 
 def random_graph(n, p, seed):

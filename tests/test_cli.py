@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mpartition import fan, fan_kind, to_graph6
 from mpartition.cli import main
-from mpartition.graph import complete_graph, cycle_graph, path_graph
+
+from auxiliary import complete_graph, cycle_graph, path_graph
 
 
 def run(capsys, *argv):

@@ -18,14 +18,14 @@ from mpartition import (
     to_edgelist,
     to_graph6,
 )
-from mpartition.graph import (
+
+from auxiliary import (
     complete_graph,
+    contains_subgraph,
     cycle_graph,
     disjoint_union,
     path_graph,
 )
-
-from auxiliary import contains_subgraph
 
 
 def brute_force_isomorphic(a, b):

@@ -56,10 +56,8 @@ from mpartition.graph import (
     _pattern_order,
     bits,
     component_masks,
-    cycle_graph,
-    disjoint_union,
+    first_edge,
     odd_depth,
-    path_graph,
 )
 from mpartition.solver import (
     Witness,
@@ -70,6 +68,8 @@ from mpartition.solver import (
     extract_unbipartizable_obstruction,
 )
 from mpartition.patterns import ONE, STAR
+
+from auxiliary import cycle_graph, disjoint_union, path_graph
 
 #: A pattern with clique parts (1 on the diagonal) and a 0 off it.
 DIAG_ONE = Pattern.parse("1*0\n*01\n011")
@@ -353,6 +353,14 @@ def test_induced_matches_reference(g, data):
     s = data.draw(st.lists(st.integers(0, max(g.n - 1, 0)), max_size=g.n))
     sub = induced(g, s)
     assert sub == ref_induced(g, s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_graphs, st.data())
+def test_first_edge_matches_reference(g, data):
+    mask = data.draw(st.integers(0, (1 << g.n) - 1))
+    inside = [(u, v) for u, v in g.edges() if mask >> u & 1 and mask >> v & 1]
+    assert first_edge(g, mask) == min(inside, default=None)
 
 
 def ref_to_graph6(g):
@@ -1032,6 +1040,79 @@ def test_spoke_parity_from_an_odd_seed_matches_reference():
         assert cert.decision == decision
         assert (cert.witness[0].tag if cert.witness else None) == kind
         assert cert.to_json() == ref_certify(g).to_json()
+
+
+def with_paths(n, edges, lengths):
+    """The graph on 0..n-1 with ``edges`` and, for each vertex i below
+    ``len(lengths)``, a new path of ``lengths[i]`` edges hanging off i."""
+    edges = list(edges)
+    for v, length in enumerate(lengths):
+        for _ in range(length):
+            edges.append((v, n))
+            v, n = n, n + 1
+    return Graph(n, edges)
+
+
+def relabelled(g, rng):
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def shared_edge_hosts():
+    """A triangle with a path of 0-3 edges on each corner (three
+    bipartizers), and an edge 0-1 with two or three apexes, paths of 0-2
+    edges on the apexes and of 0-3 edges on both ends (two bipartizers)."""
+    for lengths in itertools.product(range(4), repeat=3):
+        yield with_paths(3, [(0, 1), (0, 2), (1, 2)], lengths)
+    for k in (2, 3):
+        edge = [(0, 1)] + [(v, a) for a in range(2, 2 + k) for v in (0, 1)]
+        for sides in itertools.product(range(4), repeat=2):
+            for apexes in itertools.product(range(3), repeat=k):
+                yield with_paths(2 + k, edge, sides + apexes)
+
+
+def test_shared_edge_matches_reference_under_relabelling():
+    # which end of the shared edge or corner of the triangle takes which
+    # role depends on the labels: six labellings of each host
+    rng = random.Random(13)
+    kinds = set()
+    count = 0
+    for host in shared_edge_hosts():
+        for _ in range(6):
+            g = relabelled(host, rng)
+            cert = solve_certifying(g)
+            assert cert.to_json() == ref_certify(g).to_json()
+            kinds.add(cert.witness[0].tag if cert.witness else "yes")
+            count += 1
+    assert count == 3840
+    assert {"yes", "F1", "F2", "F3"} <= kinds
+
+
+def test_hub_f2_f4_witnesses_match_reference_on_labellings():
+    # F4 (hub 0, spokes u = 1 and w = 2 with pendants, second neighbours
+    # 6 and 5) under every labelling, then under fixed-seed labellings
+    # with one or two bare spokes (an F2) and with a third neighbour on
+    # each of u and w (an F4): the spoke pair, the loose spoke and the
+    # second neighbours all follow the labels
+    f4 = catalogue_graph("F4")
+    for perm in itertools.permutations(range(7)):
+        g = Graph(7, [(perm[u], perm[v]) for u, v in f4.edges()])
+        cert = solve_certifying(g)
+        assert cert.witness == (ObstructionKind("F4"), frozenset(range(7)))
+        assert cert.to_json() == ref_certify(g).to_json()
+    rng = random.Random(4)
+    for n, extra, kind, count in (
+        (8, [(0, 7)], "F2", 1000),
+        (9, [(0, 7), (0, 8)], "F2", 500),
+        (9, [(0, 7), (1, 7), (0, 8), (2, 8)], "F4", 500),
+    ):
+        host = Graph(n, f4.edges() + extra)
+        for _ in range(count):
+            g = relabelled(host, rng)
+            cert = solve_certifying(g)
+            assert cert.witness[0] == ObstructionKind(kind)
+            assert cert.to_json() == ref_certify(g).to_json()
 
 
 @settings(max_examples=200, deadline=None)

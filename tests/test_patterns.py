@@ -12,7 +12,8 @@ from mpartition import (
     solve,
     verify_assignment,
 )
-from mpartition.graph import complete_graph, cycle_graph, disjoint_union
+
+from auxiliary import complete_graph, cycle_graph, disjoint_union
 
 
 def random_graph(n, p, seed):

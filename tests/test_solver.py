@@ -26,10 +26,16 @@ from mpartition import (
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS
 from mpartition.chordal import verify_hole
-from mpartition.graph import complete_graph, cycle_graph, disjoint_union, path_graph
-from mpartition.solver import M1Certificate
+from mpartition.solver import M1Certificate, _shared_edge
 
-from auxiliary import AUXILIARY_TAGS, auxiliary_graph
+from auxiliary import (
+    AUXILIARY_TAGS,
+    auxiliary_graph,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    path_graph,
+)
 
 
 def definitional_bipartizers(g):
@@ -306,8 +312,16 @@ def test_verify_certificate_checks_witness_size_first():
 
 
 def test_case_functions_guard_their_preconditions():
-    with pytest.raises(RuntimeError):
+    with pytest.raises(RuntimeError, match="do not induce a triangle"):
         solve_unique_triangle(path_graph(4), frozenset({0, 1, 2}))
+    with pytest.raises(RuntimeError, match="span a shared edge"):
+        _shared_edge(path_graph(3), 0, 2, 1 << 1)
+    with pytest.raises(RuntimeError, match="span a shared edge"):
+        _shared_edge(complete_graph(3), 0, 1, 0)
+    # a second component with an edge is not the caller's to pass on
+    with pytest.raises(RuntimeError, match="do not cover the graph"):
+        solve_unique_triangle(disjoint_union(complete_graph(3), path_graph(2)),
+                              frozenset({0, 1, 2}))
 
 
 # -- agreement sweeps ----------------------------------------------------------
