@@ -7,8 +7,13 @@ ordered partition refinement (Rose, Tarjan & Lueker 1976): the unvisited
 vertices sit in a list of classes of equal label, kept as bitsets;
 visiting a vertex moves its unvisited neighbours of each class into a new
 class just before it, and the next vertex is the lowest id of the first
-class.  Each edge is handled once, when its first endpoint is visited, so
-the sweep costs O(n + m) steps, each a bitset operation on n-bit ints.
+class.  The last class holds the vertices no visit has labelled yet, and a
+visit moves its neighbours there in one mask step; only a neighbour that
+is already labelled is handled on its own.  The edges that first label a
+vertex form a spanning forest, so the sweep takes a constant number of
+steps per vertex plus one per edge outside that forest (m - n + c of them
+for c components, none on a forest), each a bitset operation on n-bit
+ints.
 Each visit also tests the vertex's earlier neighbours against the last
 of them.  A failed test yields a hole (a chordless cycle of length at
 least four) through the last failing vertex by one layer search.
@@ -58,11 +63,18 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | Non
     cliques: list[int] = []
     failure = None
     # Classes of unvisited vertices with equal labels, highest label first:
-    # masks by class id, linked through prev/nxt from head.
+    # masks by class id, linked through prev/nxt from head.  Class 0 holds
+    # the unlabelled vertices and stays last, even when empty.  A vertex's
+    # class is cls[w] once two visits have labelled it, else the class
+    # opened[f] that its one labeller f opened; class ids are never
+    # reused.  parent[w], the last labeller, is only kept from the second
+    # label on: it is read only for a vertex with two or more earlier
+    # neighbours.
     members = [(1 << n) - 1]
     prev = [-1]
     nxt = [-1]
-    cls = [0] * n
+    cls = [-1] * n
+    opened = [0] * n
     parent = [-1] * n
     head = 0
     unvisited = (1 << n) - 1
@@ -86,14 +98,33 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | Non
             if bad:
                 failure = v, p, bad
             cliques.append(earlier | low)
+        fresh = nb & members[0]
+        if fresh:
+            # v's unlabelled neighbours move as one class just before class 0
+            d = opened[v] = len(members)
+            members.append(fresh)
+            members[0] ^= fresh
+            q = prev[0]
+            prev.append(q)
+            nxt.append(0)
+            prev[0] = d
+            if q < 0:
+                head = d
+            else:
+                nxt[q] = d
+            nb ^= fresh
+        if not nb:
+            continue
         split: dict[int, int] = {}
         rest = nb
-        while rest:  # bits(nb), inlined
+        while rest:  # bits(nb), inlined: v's neighbours labelled before
             lw = rest & -rest
             w = lw.bit_length() - 1
             rest ^= lw
             parent[w] = v
             c = cls[w]
+            if c < 0:  # labelled once before, by the other visited neighbour
+                c = opened[((adj[w] & ~unvisited) ^ low).bit_length() - 1]
             d = split.get(c)
             if d is None:
                 # neighbours of v outrank the rest of their class

@@ -16,6 +16,7 @@ layer and the odd cycles they close are all read off those layers.
 from __future__ import annotations
 
 import binascii
+import heapq
 from dataclasses import dataclass
 from functools import reduce
 from operator import or_
@@ -302,15 +303,26 @@ def _pattern_order(h: Graph) -> list[int]:
     # Place high-degree vertices first and keep each new vertex attached to
     # the placed prefix when possible, so constraint masks prune early: the
     # next vertex has the most placed neighbours, then the highest degree,
-    # then the lowest id.
+    # then the lowest id.  The heap holds those keys, negated so that the
+    # least comes first, one per vertex and placed neighbour count; a key
+    # behind its vertex's current count is stale and skipped, so the order
+    # takes O(m log n) steps.
     adj = h.adj
+    degree = [-a.bit_count() for a in adj]
+    count = [0] * h.n
+    heap = [(0, degree[v], v) for v in range(h.n)]
+    heapq.heapify(heap)
     order: list[int] = []
     placed = 0
-    for _ in range(h.n):
-        _, _, v = min((-(adj[v] & placed).bit_count(), -adj[v].bit_count(), v)
-                      for v in bits(((1 << h.n) - 1) & ~placed))
+    while heap:
+        c, _, v = heapq.heappop(heap)
+        if c != count[v]:
+            continue
         order.append(v)
         placed |= 1 << v
+        for w in bits(adj[v] & ~placed):
+            count[w] -= 1
+            heapq.heappush(heap, (count[w], degree[w], w))
     return order
 
 

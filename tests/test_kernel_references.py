@@ -1422,6 +1422,22 @@ def test_sweep_matches_two_pass_reference(g):
     assert is_chordal(g) == ref_two_pass_is_chordal(g)
 
 
+def test_sweep_matches_references_on_every_graph_up_to_six_vertices():
+    # all 33868 labelled graphs on at most 6 vertices: every small way of
+    # labelling a vertex once or again, emptying class 0, and closing a hole
+    count = holed = 0
+    for n in range(7):
+        pairs = list(itertools.combinations(range(n), 2))
+        for code in range(1 << len(pairs)):
+            g = Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
+            cert = is_chordal(g)
+            assert cert == ref_two_pass_is_chordal(g)
+            assert _lex_bfs(g)[0] == ref_partition_lex_bfs(g)[0]
+            count += 1
+            holed += not cert
+    assert count == 33868 and holed > 0
+
+
 def test_sweep_matches_two_pass_reference_on_corpus_and_bench_pools(corpus8):
     # each bench host also with an edge between its first and last vertex,
     # which mostly closes a hole far into the order
