@@ -50,10 +50,8 @@ from .solver import (
     M1Certificate,
     NotChordalError,
     bipartizer_set,
-    extract_unbipartizable_obstruction,
     solve_certifying,
     solve_one_bipartizer,
-    solve_unique_triangle,
     verify_certificate,
 )
 
@@ -73,7 +71,6 @@ __all__ = [
     "components",
     "contains_induced",
     "enumerate_connected_chordal",
-    "extract_unbipartizable_obstruction",
     "fan",
     "fan_kind",
     "find_obstruction_by_scan",
@@ -89,7 +86,6 @@ __all__ = [
     "solve",
     "solve_certifying",
     "solve_one_bipartizer",
-    "solve_unique_triangle",
     "to_dot",
     "to_edgelist",
     "to_graph6",

@@ -6,7 +6,9 @@ non-chordal input without ``--force-oracle``.  ``verify`` exits 0 for a
 valid certificate, 1 for an invalid one and 2 for an unreadable graph or
 a malformed certificate document.  Batch commands exit 0 iff their
 report contains no failures.  Reports are deterministic for fixed flags
-and seed; timing goes to stderr only.
+and seed; timing goes to stderr only.  A command whose reader closes its
+standard output early (``mpartition enumerate | head -1``) stops writing
+and exits 1 without a traceback.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -469,10 +472,19 @@ _parser = functools.cache(build_parser)
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except BrokenPipeError:
+        # the reader is gone: send what is still buffered to devnull, so
+        # that the flush at exit does not fail again, and exit 1 as an
+        # uncaught error would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

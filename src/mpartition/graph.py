@@ -415,21 +415,23 @@ def tree_path(g: Graph, layers: list[int], v: int, d: int) -> list[int]:
     return path
 
 
-def _forest(g: Graph, removed: int = 0) -> Iterator[list[int]]:
-    """``bfs_layers`` of each component of g minus the bitset ``removed``,
-    rooted at its lowest vertex, in order of that vertex."""
+def forest(g: Graph, removed: int = 0) -> Iterator[tuple[int, list[int]]]:
+    """Each component of g minus the bitset ``removed``, as a bitset, with
+    its ``bfs_layers`` rooted at its lowest vertex, in order of that
+    vertex."""
     rest = ((1 << g.n) - 1) & ~removed
     while rest:
         layers = bfs_layers(g, lowest(rest), removed)
-        rest &= ~reduce(or_, layers)
-        yield layers
+        comp = reduce(or_, layers)
+        rest &= ~comp
+        yield comp, layers
 
 
 def _layer_edges(g: Graph, removed: int = 0) -> Iterator[tuple[list[int], tuple | None]]:
     """Each component's ``layers`` in g minus the bitset ``removed``, with
     the first edge (u, w) inside the first of them that has one, layer d,
     as (u, w, d), or None."""
-    for layers in _forest(g, removed):
+    for _, layers in forest(g, removed):
         edges = ((first_edge(g, layer), d) for d, layer in enumerate(layers))
         yield layers, next(((*edge, d) for edge, d in edges if edge), None)
 
@@ -443,7 +445,7 @@ def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, int] | None:
 def odd_depth(g: Graph) -> int:
     """Bitset of the vertices at odd depth from the lowest vertex of their
     component: one side of a 2-colouring if g is bipartite."""
-    return reduce(or_, (layer for layers in _forest(g) for layer in layers[1::2]), 0)
+    return reduce(or_, (layer for _, layers in forest(g) for layer in layers[1::2]), 0)
 
 
 @dataclass(frozen=True)
@@ -475,7 +477,7 @@ def is_bipartite(g: Graph) -> BipartitenessCertificate:
 
 def component_masks(g: Graph) -> list[int]:
     """Connected components as bitsets, ordered by smallest vertex."""
-    return [reduce(or_, layers) for layers in _forest(g)]
+    return [comp for comp, _ in forest(g)]
 
 
 def components(g: Graph) -> list[VertexSet]:

@@ -2,26 +2,27 @@
 chordal graphs.
 
 ``solve_certifying`` returns either a verified partition (yes-certificate)
-or a vertex set inducing a named catalogue member (no-certificate).  The
-algorithm is driven by the *bipartizer set* of the host: the vertices
-whose removal leaves a bipartite graph.  For a non-bipartite chordal graph
-every bipartizer lies in every triangle, so the set has at most three
-elements, and each cardinality forces enough structure to either colour
-the graph directly or point at a concrete obstruction:
+or a vertex set inducing a named catalogue member (no-certificate).  Its
+one entry to the case analysis, ``_certify``, reads each fact once off
+the cliques of the perfect elimination ordering that the chordality test
+finds (``ChordalityCertificate.cliques``), in this order:
 
-* empty set: the host stays non-bipartite after any single deletion, and a
-  short triangle analysis always exposes an induced F1, F5, F6 or F7;
+* no clique: the host is a forest, 2-coloured by depth parity;
+* an edge outside the first triangle's component: F1;
+* a clique of four: F7, the first K4;
+* the *bipartizer set*, the vertices whose removal leaves a bipartite
+  graph: without a K4 these are the vertices in every triangle, the AND
+  of the cliques, so the set has at most three elements;
+* empty set: a short triangle analysis exposes an induced F1, F5 or F6;
 * two or three bipartizers: every triangle holds the same edge, and the
   unique triangle (three bipartizers) is that edge with one apex; the
   apex trees and the two side trees are bounded by F1/F2/F3 checks;
 * one bipartizer: the host is a hub of eccentricity two; adjacency and
   path-parity among the spoke trees is bounded by F1/F2/F4/fan checks.
 
-The set, the triangles and the first K4 are read off the cliques of the
-perfect elimination ordering that the chordality test finds
-(``ChordalityCertificate.cliques``), every traversal is one
-breadth-first layer search on bitsets (``graph.bfs_layers``), and every
-"first edge inside a vertex set" is ``graph.first_edge``.
+Every traversal is one breadth-first layer search on bitsets
+(``graph.bfs_layers``), and every "first edge inside a vertex set" is
+``graph.first_edge``.
 
 Every certificate is re-verified before it is returned, so a structural
 bug surfaces as an internal error rather than a wrong answer.
@@ -43,6 +44,7 @@ from .graph import (
     bfs_layers,
     bits,
     first_edge,
+    forest,
     induced,
     is_bipartite,
     is_isomorphic,
@@ -153,14 +155,6 @@ def _induces_fan(g: Graph, vertices: VertexSet, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _cliques(g: Graph) -> tuple[int, ...]:
-    """The PEO cliques of a chordal graph (``ChordalityCertificate``)."""
-    chordality = is_chordal(g)
-    if not chordality:
-        raise NotChordalError(chordality.hole)
-    return chordality.cliques
-
-
 def _first_clique(cliques: tuple[int, ...], size: int) -> tuple[int, ...] | None:
     """Lexicographically first clique of ``size`` vertices: the least of
     the ``size`` smallest members of each of ``cliques``.  Of two vertex
@@ -177,13 +171,6 @@ def _first_clique(cliques: tuple[int, ...], size: int) -> tuple[int, ...] | None
         if not best or c & diff & -diff:
             best = c
     return tuple(bits(best)) if best else None
-
-
-def _peo_bipartizers(cliques: tuple[int, ...]) -> int:
-    """Bipartizer set of a chordal graph with a triangle, from its PEO
-    cliques: with a K4 it is empty, otherwise g - v is bipartite iff v
-    lies in every triangle."""
-    return 0 if max(map(int.bit_count, cliques)) > 3 else reduce(and_, cliques)
 
 
 def bipartizer_set(g: Graph) -> VertexSet:
@@ -231,9 +218,9 @@ def _yes(n: int, part1: int, part2: int = 0) -> M1Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _disjoint_triangle_witness(g: Graph, region: VertexSet) -> Witness:
-    """F6 or F1 within the six vertices ``region`` of two disjoint
-    triangles {a, b, c} and {x, y, z} of a chordal, K4-free graph.
+def _disjoint_triangle_witness(g: Graph, region: int) -> Witness:
+    """F6 or F1 within the six vertices of the bitset ``region``, two
+    disjoint triangles {a, b, c} and {x, y, z} of a chordal, K4-free graph.
 
     A vertex with three cross neighbours closes a K4, and two disjoint
     cross edges a-x, b-y need exactly one diagonal a-y or b-x (none
@@ -247,28 +234,24 @@ def _disjoint_triangle_witness(g: Graph, region: VertexSet) -> Witness:
     ascending vertex order finds first.
     """
     adj = g.adj
-    r = sum(1 << v for v in region)
-    if sum((adj[v] & r).bit_count() for v in region) == 18:
-        return ObstructionKind("F6"), region
-    for a, b, c in combinations(sorted(region), 3):
+    if sum((adj[v] & region).bit_count() for v in bits(region)) == 18:
+        return ObstructionKind("F6"), frozenset(bits(region))
+    for a, b, c in combinations(bits(region), 3):
         if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
-            far = r & ~(adj[a] | adj[b] | adj[c] | 1 << a | 1 << b | 1 << c)
+            far = region & ~(adj[a] | adj[b] | adj[c] | 1 << a | 1 << b | 1 << c)
             edge = first_edge(g, far)
             if edge:
                 return ObstructionKind("F1"), frozenset((a, b, c, *edge))
-    raise RuntimeError(f"internal error: no F6 or F1 within {sorted(region)}")
+    raise RuntimeError(f"internal error: no F6 or F1 within {list(bits(region))}")
 
 
-def extract_unbipartizable_obstruction(
-    g: Graph, cliques: tuple[int, ...] | None = None
-) -> Witness:
-    """Witness for a chordal graph whose bipartizer set is empty.
+def _triangle_witness(g: Graph, triangles: tuple[int, ...]) -> Witness:
+    """Witness for a chordal, K4-free graph whose triangles, as bitsets,
+    are ``triangles`` and have no common vertex (an empty bipartizer set).
 
-    A complete subgraph on four vertices is an immediate F7.  Otherwise at
-    most one triangle closes over each vertex, so all triangles are listed
-    and compared pairwise.  The first disjoint pair spans F6 if its six
-    vertices span 9 edges and holds an F1 otherwise
-    (``_disjoint_triangle_witness``).  A pair
+    The triangles are compared pairwise in lexicographic order.  The
+    first disjoint pair spans F6 if its six vertices span 9 edges and
+    holds an F1 otherwise (``_disjoint_triangle_witness``).  A pair
     {w, a, b}, {w, c, d} sharing one vertex w combines with a triangle
     {a, c, z} avoiding w into six vertices that induce F5, the 3-sun with
     inner triangle w, a, c: an extra edge among them either completes a
@@ -276,62 +259,30 @@ def extract_unbipartizable_obstruction(
     vertices and closes a four-cycle through two inner ones (b-d-c-a,
     b-z-c-w, d-z-a-w) whose chords would each complete a K4, so the cycle
     is chordless; g is chordal and K4-free, so neither can happen.
-    ``solve_certifying`` checks that witness like every other.  With an
-    empty bipartizer set one of these configurations always exists.
-    ``cliques`` are ``g``'s PEO cliques (``ChordalityCertificate``) if the
-    caller has them.
+    ``solve_certifying`` checks that witness like every other.  With no
+    common vertex one of these configurations always exists.
     """
-    if cliques is None:
-        cliques = _cliques(g)
-    k4 = _first_clique(cliques, 4)
-    if k4 is not None:
-        return ObstructionKind("F7"), frozenset(k4)
-    triangles = sorted(tuple(bits(c)) for c in cliques)
-    sets = [frozenset(t) for t in triangles]
-    for i in range(len(triangles)):
-        for j in range(i + 1, len(triangles)):
-            if not sets[i] & sets[j]:
-                return _disjoint_triangle_witness(g, sets[i] | sets[j])
-    for i in range(len(triangles)):
-        for j in range(i + 1, len(triangles)):
-            shared = sets[i] & sets[j]
-            if len(shared) != 1:
-                continue
-            (w,) = shared
-            c = next((t for t in sets if w not in t), None)
-            if c is None:
-                raise RuntimeError("internal error: bipartizer set not empty")
-            if len(c & sets[i]) != 1 or len(c & sets[j]) != 1:
-                # two shared vertices would close a complete quadruple,
-                # excluded above
-                raise RuntimeError("internal error: unexpected triangle overlap")
-            return ObstructionKind("F5"), sets[i] | sets[j] | c
+    tris = sorted(triangles, key=lambda t: tuple(bits(t)))
+    for s, t in combinations(tris, 2):
+        if not s & t:
+            return _disjoint_triangle_witness(g, s | t)
+    for s, t in combinations(tris, 2):
+        shared = s & t
+        if shared.bit_count() != 1:
+            continue
+        c = next((u for u in tris if not u & shared), None)
+        if c is None:
+            raise RuntimeError("internal error: bipartizer set not empty")
+        if (c & s).bit_count() != 1 or (c & t).bit_count() != 1:
+            # two shared vertices would close a complete quadruple
+            raise RuntimeError("internal error: unexpected triangle overlap")
+        return ObstructionKind("F5"), frozenset(bits(s | t | c))
     raise RuntimeError("internal error: no obstruction found with empty bipartizer set")
 
 
 # ---------------------------------------------------------------------------
 # two or three bipartizers: every triangle holds one edge
 # ---------------------------------------------------------------------------
-
-
-def solve_unique_triangle(g: Graph, bipartizers: VertexSet) -> M1Certificate:
-    """Certify a non-bipartite chordal graph, connected but for isolated
-    vertices (left in part 0), whose bipartizer set is a triangle (then it
-    is the only triangle in the graph): a shared edge with one apex.
-
-    The apex is the lowest corner with no neighbour off the triangle, else
-    the lowest corner.  Of the other two corners, v1 is the one with a
-    neighbour off the triangle if only one has one, else the lower."""
-    b = sorted(bipartizers)
-    if len(b) != 3 or not all(
-        g.has_edge(u, v) for u, v in ((b[0], b[1]), (b[0], b[2]), (b[1], b[2]))
-    ):
-        raise RuntimeError("internal error: bipartizers do not induce a triangle")
-    tri_mask = sum(1 << v for v in b)
-    bare = [v for v in b if not g.adj[v] & ~tri_mask]
-    v0 = bare[0] if bare else b[0]
-    v1, v2 = sorted((v for v in b if v != v0), key=lambda v: v in bare)
-    return _shared_edge(g, v1, v2, 1 << v0)
 
 
 def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
@@ -440,21 +391,17 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 
     # spoke trees: even depth from the root in part 1, odd depth and the
     # outer (pendant) vertices in part 0.  g minus the hub is bipartite, so
-    # parity from the root is parity from the seed, flipped if root is odd.
-    outside = ~spoke_mask
+    # parity from the root is parity from the tree's lowest vertex, flipped
+    # if the root is odd.
     part1 = 0
-    remaining = spoke_mask
-    while remaining:
-        seed = lowest(remaining)
-        tree = bfs_layers(g, seed, outside)
-        comp = reduce(or_, tree)
+    for comp, tree in forest(g, ~spoke_mask):
         attached_here = comp & attach_mask
-        root = lowest(attached_here) if attached_here else seed
+        root = lowest(attached_here or comp)
         odd = reduce(or_, tree[1::2], 0)
         if odd >> root & 1:
             odd = comp & ~odd
         if attached_here & odd:
-            tree = bfs_layers(g, root, outside)
+            tree = bfs_layers(g, root, ~spoke_mask)
             w = lowest(attached_here & odd)
             d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
             if d < 3:
@@ -462,7 +409,6 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
             wit = {hub, attach[root], attach[w], *tree_path(g, tree, w, d)}
             return _no(fan_kind((d + 1) // 2), wit)
         part1 |= comp & ~odd
-        remaining &= ~comp
     return _yes(g.n, part1, 1 << hub)
 
 
@@ -472,7 +418,9 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 
 
 def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
-    """Certificate for a chordal graph with the given PEO cliques."""
+    """Certificate for a chordal graph with the given PEO cliques: the one
+    entry to the case analysis, which reads each fact off the cliques
+    once, in this order."""
     if not cliques:
         # a triangle-free chordal graph is a forest: 2-colour each tree by
         # depth parity from its lowest vertex
@@ -485,11 +433,21 @@ def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
     if edge:
         return _no(ObstructionKind("F1"), {*tri, *edge})
     # any other component is an isolated vertex: the cases leave it in part 0
-    b = _peo_bipartizers(cliques)
+    if max(map(int.bit_count, cliques)) > 3:
+        return _no(ObstructionKind("F7"), _first_clique(cliques, 4))
+    # without a K4, g - v is bipartite iff v lies in every triangle
+    b = reduce(and_, cliques)
     if not b:
-        return _no(*extract_unbipartizable_obstruction(g, cliques))
+        return _no(*_triangle_witness(g, cliques))
     if b.bit_count() == 3:
-        return solve_unique_triangle(g, frozenset(bits(b)))
+        # the unique triangle is a shared edge with one apex: the lowest
+        # corner with no neighbour off the triangle, else the lowest
+        # corner; v1 is the other corner with such a neighbour if only
+        # one has one, else the lower
+        bare = [v for v in bits(b) if not g.adj[v] & ~b]
+        v0 = bare[0] if bare else lowest(b)
+        v1, v2 = sorted(bits(b & ~(1 << v0)), key=bare.__contains__)
+        return _shared_edge(g, v1, v2, 1 << v0)
     if b.bit_count() == 2:
         v1, v2 = bits(b)
         return _shared_edge(g, v1, v2, g.adj[v1] & g.adj[v2])
@@ -501,11 +459,14 @@ def solve_certifying(g: Graph) -> M1Certificate:
 
     Raises :class:`NotChordalError` (carrying a hole) on non-chordal input.
     Output is deterministic for a fixed labelled input, and is re-verified
-    internally before being returned.  The case analysis reads triangles,
-    K4s and the bipartizer set off the cliques of the perfect elimination
-    ordering that the chordality test finds.
+    internally before being returned.  The case analysis (``_certify``)
+    reads triangles, K4s and the bipartizer set off the cliques of the
+    perfect elimination ordering that the chordality test finds.
     """
-    cert = _certify(g, _cliques(g))
+    chordality = is_chordal(g)
+    if not chordality:
+        raise NotChordalError(chordality.hole)
+    cert = _certify(g, chordality.cliques)
     problem = verify_certificate(g, cert)
     if problem is not None:
         raise RuntimeError(f"internal error: produced invalid certificate: {problem}")

@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -503,3 +506,20 @@ def test_parser_is_shared_and_keeps_no_state_between_calls(tmp_path, capsys):
     hole = write_graph6(tmp_path, cycle_graph(4), "c4.g6")
     assert run(capsys, "check", hole, "--force-oracle")[0] == 0
     assert run(capsys, "check", hole)[0] == 2  # --force-oracle is not carried over
+
+
+def test_closed_pipe_exits_1_without_traceback():
+    # about 3 MB of catalogue lines overfill the pipe after its reader
+    # has read one line and gone
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "mpartition", "catalogue", "--fan-max", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"F1\t")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert b"Traceback" not in err, err.decode()

@@ -20,6 +20,7 @@ import itertools
 import random
 import sys
 from functools import reduce
+from operator import and_
 from pathlib import Path
 
 import networkx as nx
@@ -64,12 +65,11 @@ from mpartition.solver import (
     _disjoint_triangle_witness,
     _first_clique,
     _no,
-    _peo_bipartizers,
-    extract_unbipartizable_obstruction,
+    _triangle_witness,
 )
 from mpartition.patterns import ONE, STAR
 
-from auxiliary import cycle_graph, disjoint_union, path_graph
+from auxiliary import complete_graph, cycle_graph, disjoint_union, path_graph
 
 #: A pattern with clique parts (1 on the diagonal) and a 0 off it.
 DIAG_ONE = Pattern.parse("1*0\n*01\n011")
@@ -1002,6 +1002,14 @@ def case_analysis_graphs(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(case_analysis_graphs())
+# the second component's edge comes before the K4: F1, not F7
+@example(disjoint_union(complete_graph(4), path_graph(2)))
+# isolated vertices beside a K4 leave it to F7
+@example(disjoint_union(Graph(2), complete_graph(4)))
+# a unique triangle whose corners all have a neighbour off it, and one
+# whose only bare corner, 1, is not its lowest
+@example(Graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 4), (2, 5)]))
+@example(Graph(5, [(0, 1), (0, 2), (1, 2), (0, 3), (2, 4)]))
 def test_case_analysis_matches_reference(g):
     cliques = is_chordal(g).cliques
     assert _first_clique(cliques, 4) == ref_find_k4(g)
@@ -1013,8 +1021,10 @@ def test_case_analysis_matches_reference(g):
         assert sorted(tuple(bits(c)) for c in cliques) == ref_all_triangles(g)
     public = bipartizer_set(g)
     assert public == ref_bipartizer_set(g)
-    if cliques:
-        assert frozenset(bits(_peo_bipartizers(cliques))) == public
+    if ref_find_k4(g) is not None:
+        assert public == frozenset()
+    elif cliques:
+        assert frozenset(bits(reduce(and_, cliques))) == public
     assert solve_certifying(g).to_json() == ref_certify(g).to_json()
 
 
@@ -1147,11 +1157,10 @@ def test_disjoint_triangle_rule_matches_search_on_every_labelling():
     # the rule names the very F6 or F1 that the embedder finds first
     kept, hosts = disjoint_triangle_hosts()
     assert (len(kept), len(hosts)) == (64, 640)
-    region = frozenset(range(6))
     for g in hosts:
-        expected = ref_induced_member_within(g, set(region), ("F6", "F1"))
-        assert _disjoint_triangle_witness(g, region) == expected
-        assert extract_unbipartizable_obstruction(g) == expected
+        expected = ref_induced_member_within(g, set(range(6)), ("F6", "F1"))
+        assert _disjoint_triangle_witness(g, 0b111111) == expected
+        assert _triangle_witness(g, is_chordal(g).cliques) == expected
 
 
 def bench_pools():
@@ -1172,7 +1181,10 @@ def test_case_analysis_matches_reference_on_corpus_and_bench_pools(corpus8):
     for g in [*corpus8, *bench_pools()]:
         cliques = is_chordal(g).cliques
         if cliques:
-            assert frozenset(bits(_peo_bipartizers(cliques))) == bipartizer_set(g)
+            # a K4 leaves no bipartizer; otherwise they are every triangle's
+            k4 = max(map(int.bit_count, cliques)) > 3
+            expected = frozenset() if k4 else frozenset(bits(reduce(and_, cliques)))
+            assert bipartizer_set(g) == expected
             checked += 1
         assert solve_certifying(g).to_json() == ref_certify(g).to_json()
     assert checked > 1500

@@ -27,7 +27,6 @@ PUBLIC = [
     "components",
     "contains_induced",
     "enumerate_connected_chordal",
-    "extract_unbipartizable_obstruction",
     "fan",
     "fan_kind",
     "find_obstruction_by_scan",
@@ -43,7 +42,6 @@ PUBLIC = [
     "solve",
     "solve_certifying",
     "solve_one_bipartizer",
-    "solve_unique_triangle",
     "to_dot",
     "to_edgelist",
     "to_graph6",

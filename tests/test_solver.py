@@ -9,7 +9,6 @@ from mpartition import (
     NotChordalError,
     ObstructionKind,
     bipartizer_set,
-    extract_unbipartizable_obstruction,
     fan,
     fan_kind,
     find_obstruction_by_scan,
@@ -21,12 +20,11 @@ from mpartition import (
     random_chordal,
     solve,
     solve_certifying,
-    solve_unique_triangle,
     verify_certificate,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS
 from mpartition.chordal import verify_hole
-from mpartition.solver import M1Certificate, _shared_edge
+from mpartition.solver import M1Certificate, _shared_edge, _triangle_witness
 
 from auxiliary import (
     AUXILIARY_TAGS,
@@ -197,13 +195,13 @@ def test_pendant_overload_matches_scan(corpus8):
 
 
 def test_extract_f7_from_k4():
-    kind, witness = extract_unbipartizable_obstruction(complete_graph(4))
+    kind, witness = solve_certifying(complete_graph(4)).witness
     assert kind.tag == "F7" and len(witness) == 4
 
 
 def test_extract_f1_from_two_triangles():
     g = disjoint_union(complete_graph(3), complete_graph(3))
-    kind, witness = extract_unbipartizable_obstruction(g)
+    kind, witness = _triangle_witness(g, is_chordal(g).cliques)
     assert kind.tag == "F1"
     assert is_isomorphic(induced(g, witness), obstruction_graph(kind))
 
@@ -211,7 +209,7 @@ def test_extract_f1_from_two_triangles():
 def test_extract_f5_from_sun():
     sun = Graph(6, [(0, 1), (0, 5), (1, 2), (1, 3), (1, 5), (2, 3), (3, 4),
                     (3, 5), (4, 5)])
-    kind, witness = extract_unbipartizable_obstruction(sun)
+    kind, witness = solve_certifying(sun).witness
     assert kind.tag == "F5"
     assert witness == frozenset(range(6))
 
@@ -223,7 +221,7 @@ def test_extract_f6_from_bridged_triangles():
                   (2, 3), (2, 4), (1, 3)])
     assert is_chordal(g)
     assert bipartizer_set(g) == frozenset()
-    kind, witness = extract_unbipartizable_obstruction(g)
+    kind, witness = solve_certifying(g).witness
     assert kind.tag == "F6"
     assert is_isomorphic(induced(g, witness), obstruction_graph(kind))
 
@@ -233,7 +231,7 @@ def test_extraction_consistent_with_scan(corpus8):
     for g in corpus8:
         if is_bipartite(g) or bipartizer_set(g):
             continue
-        kind, witness = extract_unbipartizable_obstruction(g)
+        kind, witness = solve_certifying(g).witness
         assert kind.tag in {"F1", "F5", "F6", "F7"}
         assert is_isomorphic(induced(g, witness), obstruction_graph(kind))
         checked += 1
@@ -312,16 +310,13 @@ def test_verify_certificate_checks_witness_size_first():
 
 
 def test_case_functions_guard_their_preconditions():
-    with pytest.raises(RuntimeError, match="do not induce a triangle"):
-        solve_unique_triangle(path_graph(4), frozenset({0, 1, 2}))
     with pytest.raises(RuntimeError, match="span a shared edge"):
         _shared_edge(path_graph(3), 0, 2, 1 << 1)
     with pytest.raises(RuntimeError, match="span a shared edge"):
         _shared_edge(complete_graph(3), 0, 1, 0)
     # a second component with an edge is not the caller's to pass on
     with pytest.raises(RuntimeError, match="do not cover the graph"):
-        solve_unique_triangle(disjoint_union(complete_graph(3), path_graph(2)),
-                              frozenset({0, 1, 2}))
+        _shared_edge(disjoint_union(complete_graph(3), path_graph(2)), 1, 2, 1 << 0)
 
 
 # -- agreement sweeps ----------------------------------------------------------
