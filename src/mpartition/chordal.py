@@ -17,6 +17,9 @@ ints.
 Each visit also tests the vertex's earlier neighbours against the last
 of them.  A failed test yields a hole (a chordless cycle of length at
 least four) through the last failing vertex by one layer search.
+LexBFS is a breadth-first search that visits each component whole from
+its lowest vertex, so the sweep also 2-colours each component by depth
+parity, one mask step per visit, and counts the components with an edge.
 
 Enumeration grows graphs one simplicial vertex at a time: removing a
 simplicial vertex from a connected graph keeps it connected, so every
@@ -42,26 +45,32 @@ class ChordalityCertificate:
     neighbours.  Each is a clique and every clique of the graph lies in
     one of them (Gavril 1972), so the graph has a triangle iff ``cliques``
     is non-empty and a K4 iff one of them has four members; without a K4
-    each triangle is exactly one of them.
+    each triangle is exactly one of them.  A PEO also comes with ``odd``,
+    the bitset of the vertices at odd depth from the lowest vertex of their
+    component, and ``edge_components``, the number of components with an edge.
     """
 
     peo: tuple[int, ...] | None
     hole: tuple[int, ...] | None
     cliques: tuple[int, ...] = ()
+    odd: int = 0
+    edge_components: int = 0
 
     def __bool__(self) -> bool:
         return self.peo is not None
 
 
-def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | None]:
-    """One LexBFS sweep: the visit order, its PEO cliques and the last PEO
-    check failure ``(v, p, bad)`` or None; p is v's neighbour visited last
-    before it, ``bad`` the bitset of v's earlier neighbours that p misses."""
+def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
+    """One LexBFS sweep: the visit order, its PEO cliques, the last PEO
+    check failure ``(v, p, bad)`` or None (p is v's neighbour visited last
+    before it, ``bad`` the bitset of v's earlier neighbours that p
+    misses), the odd-depth bitset and the count of components with an edge."""
     n = g.n
     adj = g.adj
     order: list[int] = []
     cliques: list[int] = []
     failure = None
+    odd = edge_components = 0
     # Classes of unvisited vertices with equal labels, highest label first:
     # masks by class id, linked through prev/nxt from head.  Class 0 holds
     # the unlabelled vertices and stays last, even when empty.  A vertex's
@@ -83,6 +92,8 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | Non
         low = first & -first
         v = low.bit_length() - 1
         order.append(v)
+        if head == 0 and adj[v]:  # no labelled vertex left: v starts a component
+            edge_components += 1
         unvisited ^= low
         members[head] = first ^ low
         if first == low:
@@ -100,7 +111,10 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | Non
             cliques.append(earlier | low)
         fresh = nb & members[0]
         if fresh:
-            # v's unlabelled neighbours move as one class just before class 0
+            # v's unlabelled neighbours, a layer below v, move as one class
+            # just before class 0
+            if not odd & low:
+                odd |= fresh
             d = opened[v] = len(members)
             members.append(fresh)
             members[0] ^= fresh
@@ -149,7 +163,7 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple[int, int, int] | Non
                 if q >= 0:
                     prev[q] = d
     cliques.reverse()
-    return order, cliques, failure
+    return order, cliques, failure, odd, edge_components
 
 
 def verify_hole(g: Graph, hole: tuple[int, ...]) -> bool:
@@ -179,9 +193,9 @@ def is_chordal(g: Graph) -> ChordalityCertificate:
     of H - N(M) other than M, which avoids N[v] = M + N(M).  A missing or
     invalid hole is therefore an internal error.
     """
-    order, cliques, failure = _lex_bfs(g)
+    order, cliques, failure, *facts = _lex_bfs(g)
     if failure is None:
-        return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
+        return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques), *facts)
     v, p, bad = failure
     w = lowest(bad)
     hole = _hole_through(g, v, p, w)

@@ -442,12 +442,6 @@ def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, int] | None:
     return next((edge for _, edge in _layer_edges(g, removed) if edge), None)
 
 
-def odd_depth(g: Graph) -> int:
-    """Bitset of the vertices at odd depth from the lowest vertex of their
-    component: one side of a 2-colouring if g is bipartite."""
-    return reduce(or_, (layer for _, layers in forest(g) for layer in layers[1::2]), 0)
-
-
 @dataclass(frozen=True)
 class BipartitenessCertificate:
     """Either a proper 2-colouring or an odd cycle (never both)."""

@@ -8,7 +8,8 @@ the cliques of the perfect elimination ordering that the chordality test
 finds (``ChordalityCertificate.cliques``), in this order:
 
 * no clique: the host is a forest, 2-coloured by depth parity;
-* an edge outside the first triangle's component: F1;
+* an edge outside the first triangle's component: F1, looked for only
+  when two or more components have an edge;
 * a clique of four: F7, the first K4;
 * the *bipartizer set*, the vertices whose removal leaves a bipartite
   graph: without a K4 these are the vertices in every triangle, the AND
@@ -20,8 +21,10 @@ finds (``ChordalityCertificate.cliques``), in this order:
 * one bipartizer: the host is a hub of eccentricity two; adjacency and
   path-parity among the spoke trees is bounded by F1/F2/F4/fan checks.
 
-Every traversal is one breadth-first layer search on bitsets
-(``graph.bfs_layers``), and every "first edge inside a vertex set" is
+The chordality sweep hands over depth parity and the number of
+components with an edge, the hub branch reads its layers off adjacency
+masks, and every other traversal is one breadth-first layer search on
+bitsets (``graph.bfs_layers``); every "first edge inside a vertex set" is
 ``graph.first_edge``.
 
 Every certificate is re-verified before it is returned, so a structural
@@ -37,7 +40,7 @@ from itertools import combinations
 from operator import and_, or_
 
 from .catalogue import ObstructionKind, catalogue_graph, fan_kind, obstruction_size
-from .chordal import is_chordal
+from .chordal import ChordalityCertificate, is_chordal
 from .graph import (
     Graph,
     VertexSet,
@@ -50,7 +53,6 @@ from .graph import (
     is_isomorphic,
     layer_edge,
     lowest,
-    odd_depth,
     tree_path,
 )
 from .patterns import M1, Assignment, verify_assignment
@@ -337,13 +339,27 @@ def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
 
 def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
     """Certify a non-bipartite chordal graph, connected but for isolated
-    vertices (left in part 0), whose only bipartizer is ``hub``."""
-    layers = bfs_layers(g, hub)
-    spoke_mask = layers[1] if len(layers) > 1 else 0
-    outer_mask = layers[2] if len(layers) > 2 else 0
+    vertices (left in part 0), whose only bipartizer is ``hub``: one pass
+    over the spokes and one over the outer vertices read its layers."""
+    adj = g.adj
+    spoke_mask = adj[hub]
+    beyond = ~(spoke_mask | 1 << hub)
+    attach: dict[int, int] = {}
+    attach_mask = outer_mask = 0
+    for u in bits(spoke_mask):
+        pendant = adj[u] & beyond
+        if pendant:
+            attach[u] = lowest(pendant)
+            attach_mask |= 1 << u
+            outer_mask |= pendant
+    grown = crowded = 0  # crowded: non-zero if an outer vertex is not pendant
+    for v in bits(outer_mask):
+        grown |= adj[v]
+        crowded |= adj[v] & (adj[v] - 1)
+    deeper = grown & ~(spoke_mask | outer_mask)
 
-    if len(layers) > 3:
-        x2, x3 = _tree_edge(g, layers, 3)
+    if deeper:
+        x2, x3 = _tree_edge(g, [1 << hub, spoke_mask, outer_mask, deeper], 3)
         x1 = lowest(g.adj[x2] & spoke_mask)
         # every triangle is the hub and a spoke edge, and with the hub in
         # each the first such edge gives the first triangle
@@ -354,17 +370,8 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 
     # structure forced by chordality and the unique bipartizer: pendant
     # outer vertices, so the outer layer is independent too
-    for v in bits(outer_mask):
-        if g.degree(v) != 1:
-            raise RuntimeError("internal error: outer vertices must be pendant")
-
-    attach: dict[int, int] = {}
-    attach_mask = 0
-    for u in bits(spoke_mask):
-        pendant = g.adj[u] & outer_mask
-        if pendant:
-            attach[u] = lowest(pendant)
-            attach_mask |= 1 << u
+    if crowded:
+        raise RuntimeError("internal error: outer vertices must be pendant")
 
     edge = first_edge(g, attach_mask)
     if edge:
@@ -417,21 +424,24 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
 # ---------------------------------------------------------------------------
 
 
-def _certify(g: Graph, cliques: tuple[int, ...]) -> M1Certificate:
-    """Certificate for a chordal graph with the given PEO cliques: the one
-    entry to the case analysis, which reads each fact off the cliques
-    once, in this order."""
+def _certify(g: Graph, chordality: ChordalityCertificate) -> M1Certificate:
+    """Certificate for a chordal graph from the PEO cliques, depth parity
+    and count of components with an edge of its chordality certificate:
+    the one entry to the case analysis, which reads each fact once, in
+    this order."""
+    cliques = chordality.cliques
     if not cliques:
         # a triangle-free chordal graph is a forest: 2-colour each tree by
         # depth parity from its lowest vertex
-        return _yes(g.n, odd_depth(g))
+        return _yes(g.n, chordality.odd)
     tri = _first_clique(cliques, 3)
-    comp = reduce(or_, bfs_layers(g, tri[0]))
-    # the lowest vertex outside the triangle's component with an edge
-    # starts the first other component that has one
-    edge = first_edge(g, ((1 << g.n) - 1) & ~comp)
-    if edge:
-        return _no(ObstructionKind("F1"), {*tri, *edge})
+    if chordality.edge_components > 1:
+        comp = reduce(or_, bfs_layers(g, tri[0]))
+        # the lowest vertex outside the triangle's component with an edge
+        # starts the first other component that has one
+        edge = first_edge(g, ((1 << g.n) - 1) & ~comp)
+        if edge:
+            return _no(ObstructionKind("F1"), {*tri, *edge})
     # any other component is an isolated vertex: the cases leave it in part 0
     if max(map(int.bit_count, cliques)) > 3:
         return _no(ObstructionKind("F7"), _first_clique(cliques, 4))
@@ -466,7 +476,7 @@ def solve_certifying(g: Graph) -> M1Certificate:
     chordality = is_chordal(g)
     if not chordality:
         raise NotChordalError(chordality.hole)
-    cert = _certify(g, chordality.cliques)
+    cert = _certify(g, chordality)
     problem = verify_certificate(g, cert)
     if problem is not None:
         raise RuntimeError(f"internal error: produced invalid certificate: {problem}")

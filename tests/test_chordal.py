@@ -106,9 +106,13 @@ def test_verify_peo_rejects_bad_orders():
 
 
 def test_lex_bfs_tie_breaking_is_lowest_id():
-    # (order, PEO cliques, last failure of the PEO check)
-    assert _lex_bfs(Graph(4)) == ([0, 1, 2, 3], [], None)
-    assert _lex_bfs(complete_graph(3)) == ([0, 1, 2], [0b111], None)
+    # (order, PEO cliques, last failure of the PEO check, odd-depth
+    # vertices, components with an edge)
+    assert _lex_bfs(Graph(4)) == ([0, 1, 2, 3], [], None, 0, 0)
+    assert _lex_bfs(complete_graph(3)) == ([0, 1, 2], [0b111], None, 0b110, 1)
+    # a path 2-0-3 beside the isolated vertex 1 and the edge 4-5
+    path = Graph(6, [(0, 2), (0, 3), (4, 5)])
+    assert _lex_bfs(path) == ([0, 2, 3, 1, 4, 5], [], None, 0b101100, 2)
 
 
 # -- random generation -------------------------------------------------------

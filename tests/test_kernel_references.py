@@ -58,7 +58,6 @@ from mpartition.graph import (
     bits,
     component_masks,
     first_edge,
-    odd_depth,
 )
 from mpartition.solver import (
     Witness,
@@ -172,7 +171,7 @@ def ref_partition_lex_bfs(g: Graph) -> tuple[list[int], list[int]]:
 
 def ref_two_pass_is_chordal(g: Graph) -> ChordalityCertificate:
     """LexBFS, then the PEO check as a second pass over the reversed order,
-    stopping at the first failure."""
+    stopping at the first failure; a PEO comes with ``nx_depth_facts``."""
     order, parent = ref_partition_lex_bfs(g)
     earlier = (1 << g.n) - 1
     cliques = []
@@ -193,7 +192,8 @@ def ref_two_pass_is_chordal(g: Graph) -> ChordalityCertificate:
             return ChordalityCertificate(None, hole)
         if later & (later - 1):
             cliques.append(later | 1 << v)
-    return ChordalityCertificate(tuple(order[::-1]), None, tuple(cliques))
+    return ChordalityCertificate(
+        tuple(order[::-1]), None, tuple(cliques), *nx_depth_facts(g))
 
 
 def ref_verify_assignment(g, pattern, assignment):
@@ -1125,6 +1125,41 @@ def test_hub_f2_f4_witnesses_match_reference_on_labellings():
             assert cert.to_json() == ref_certify(g).to_json()
 
 
+def hub_hosts_with_a_third_layer(rng, count):
+    """``count`` randomly labelled hub hosts of about 60 to 300 vertices:
+    spoke paths of one to eight vertices, a pendant on some spokes, and
+    one to three vertices at distance three from the hub, each on its own
+    pendant and perhaps starting a path further out."""
+    for _ in range(count):
+        paths, n, spokes = [], 0, rng.randrange(55, 220)
+        while n < spokes:
+            k = rng.randrange(1, 9)
+            paths.append(list(range(n, n + k)))
+            n += k
+        pendants = rng.sample(range(n), rng.randrange(5, n // 4))
+        g = hub_host(paths, pendants)
+        edges, m = g.edges(), g.n
+        for leaf in rng.sample(range(n, n + len(pendants)), rng.randrange(1, 4)):
+            for step in range(rng.randrange(1, 4)):
+                edges.append((leaf if step == 0 else m - 1, m))
+                m += 1
+        yield relabelled(Graph(m, edges), rng)
+
+
+def test_hub_f1_from_the_third_layer_matches_reference():
+    # the hub branch's first check: a vertex at distance three from the
+    # hub gives an F1 with the first spoke edge clear of its spoke
+    count = 0
+    for g in hub_hosts_with_a_third_layer(random.Random(16), 150):
+        (hub,) = bipartizer_set(g)
+        assert 60 <= g.n <= 300 and g.degree(hub) >= 55
+        cert = solve_certifying(g)
+        assert cert.witness[0] == ObstructionKind("F1")
+        assert cert.to_json() == ref_certify(g).to_json()
+        count += 1
+    assert count == 150
+
+
 @settings(max_examples=200, deadline=None)
 @given(any_graphs)
 def test_bipartizer_set_matches_reference_on_any_graph(g):
@@ -1311,27 +1346,53 @@ def odd_cycle_hosts(draw):
     return g
 
 
+TRIANGLE = [(0, 1), (0, 2), (1, 2)]
+
+
 @st.composite
 def sparse_hosts(draw):
-    """A random_chordal graph (a tree at bias 1.0) among many isolated
-    vertices, relabelled at random."""
-    g = random_chordal(draw(st.integers(1, 30)), draw(st.sampled_from([0.5, 1.0])),
-                       draw(st.integers(0, 2**32)))
-    g = disjoint_union(g, Graph(draw(st.integers(0, 60))))
+    """A random_chordal graph (a tree at bias 1.0) beside up to three
+    small trees and perhaps a triangle with pendant paths, among many
+    isolated vertices, relabelled at random: one to five components with
+    an edge, so the triangle's need not come first."""
+    seeds = st.integers(0, 2**32)
+    parts = [random_chordal(draw(st.integers(1, 30)), draw(st.sampled_from([0.5, 1.0])),
+                            draw(seeds))]
+    for _ in range(draw(st.integers(0, 3))):
+        parts.append(random_chordal(draw(st.integers(1, 10)), 1.0, draw(seeds)))
+    if draw(st.booleans()):
+        lengths = draw(st.lists(st.integers(0, 3), min_size=3, max_size=3))
+        parts.append(with_paths(3, TRIANGLE, lengths))
+    parts.append(Graph(draw(st.integers(0, 60))))
+    g = reduce(disjoint_union, parts)
     perm = draw(st.permutations(range(g.n)))
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def nx_depth_facts(g):
+    """The bitset of the vertices at odd depth from the lowest vertex of
+    their component, and the number of components with an edge."""
+    nxg = nx_graph(g)
+    odd = edge_components = 0
+    for c in nx.connected_components(nxg):
+        depth = nx.single_source_shortest_path_length(nxg, min(c))
+        odd |= sum(1 << v for v in c if depth[v] % 2)
+        edge_components += len(c) > 1
+    return odd, edge_components
+
+
 def check_traversals(g):
-    # components by their lowest vertex; odd_depth as depth parity from it
+    # components by their lowest vertex; the sweep's depth parity from it
+    # and its count of components with an edge, on any graph, and carried
+    # by the certificate of a chordal one
     nxg = nx_graph(g)
     comps = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
     assert component_masks(g) == [sum(1 << v for v in c) for c in comps]
-    odd = 0
-    for c in comps:
-        depth = nx.single_source_shortest_path_length(nxg, c[0])
-        odd |= sum(1 << v for v in c if depth[v] % 2)
-    assert odd_depth(g) == odd
+    facts = nx_depth_facts(g)
+    assert _lex_bfs(g)[3:] == facts
+    cert = is_chordal(g)
+    if cert:
+        assert (cert.odd, cert.edge_components) == facts
     bip = is_bipartite(g)
     ref = ref_is_bipartite(g)
     assert bip.colouring == ref.colouring
@@ -1345,7 +1406,7 @@ def check_traversals(g):
         root = min(nx.node_connected_component(nxg, cycle[0]))
         depth = nx.single_source_shortest_path_length(nxg, root)
         assert depth[cycle[0]] == depth[cycle[-1]]
-    hole = is_chordal(g).hole
+    hole = cert.hole
     ref_hole = ref_is_chordal(g)[1]
     assert (hole is None) == (ref_hole is None)
     if hole is not None:
@@ -1359,6 +1420,21 @@ def check_traversals(g):
 @example(disjoint_union(Graph(450), random_chordal(50, 1.0, 3)))
 def test_traversals_match_references(g):
     check_traversals(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_hosts())
+# F1 from a path that comes before the triangle's component
+@example(disjoint_union(Graph(3), disjoint_union(path_graph(3), complete_graph(3))))
+# F1 from a second triangle
+@example(disjoint_union(complete_graph(3), disjoint_union(Graph(2), complete_graph(3))))
+# yes: a triangle with paths among isolated vertices, and a forest
+@example(disjoint_union(Graph(4), disjoint_union(with_paths(3, TRIANGLE, [2, 0, 1]), Graph(3))))
+@example(disjoint_union(path_graph(4), disjoint_union(Graph(2), path_graph(3))))
+def test_sweep_facts_and_certificates_match_references_on_mixed_hosts(g):
+    cert = is_chordal(g)
+    assert (cert.odd, cert.edge_components) == nx_depth_facts(g)
+    assert solve_certifying(g).to_json() == ref_certify(g).to_json()
 
 
 def test_traversals_match_references_on_odd_cycle_families():
@@ -1444,7 +1520,9 @@ def test_sweep_matches_references_on_every_graph_up_to_six_vertices():
             g = Graph(n, [e for i, e in enumerate(pairs) if code >> i & 1])
             cert = is_chordal(g)
             assert cert == ref_two_pass_is_chordal(g)
-            assert _lex_bfs(g)[0] == ref_partition_lex_bfs(g)[0]
+            sweep = _lex_bfs(g)
+            assert sweep[0] == ref_partition_lex_bfs(g)[0]
+            assert sweep[3:] == nx_depth_facts(g)
             count += 1
             holed += not cert
     assert count == 33868 and holed > 0
@@ -1468,8 +1546,9 @@ def test_hole_comes_from_the_last_failing_vertex():
     # two 4-cycles 0-1-2-3 and 2-4-5-6 sharing vertex 2: LexBFS visits
     # 0, 1, 3, 2, 4, 6, 5, and the check fails at 2 and again at 5
     g = Graph(7, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 2)])
-    order, _, failure = _lex_bfs(g)
+    order, _, failure, odd, edge_components = _lex_bfs(g)
     assert order == [0, 1, 3, 2, 4, 6, 5]
+    assert (odd, edge_components) == (0b1011010, 1)
     assert [t[0] for t in failing_triples(g)] == [2, 5]
     assert failure == (5, 6, 1 << 4)
     assert is_chordal(g) == ChordalityCertificate(None, (5, 6, 2, 4))
