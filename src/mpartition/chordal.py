@@ -256,6 +256,10 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
 
 # ---------------------------------------------------------------------------
 # canonical forms (permutation search with refinement pruning, n <= 9)
+#
+# Twins (vertices whose neighbourhoods agree apart from each other) are
+# placed in id order only.  Swapping twins is an automorphism, so this
+# keeps the least adjacency string, and k twins cost one order, not k!.
 # ---------------------------------------------------------------------------
 
 MAX_ENUMERATION_N = 9
@@ -268,33 +272,48 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
     canonical relabelling may be searched within colour-respecting
     permutations only.
     """
-    colour = [g.degree(v) for v in range(g.n)]
+    nbrs = [list(bits(m)) for m in g.adj]
+    colour = [len(ws) for ws in nbrs]
     while True:
-        sig = [
-            (colour[v], tuple(sorted(colour[w] for w in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
+        sig = [(colour[v], tuple(sorted([colour[w] for w in ws])))
+               for v, ws in enumerate(nbrs)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(g.n)]
+        new = [rank[s] for s in sig]
         if new == colour:
             break
         colour = new
     classes: dict[int, list[int]] = {}
-    for v in range(g.n):
-        classes.setdefault(colour[v], []).append(v)
+    for v, c in enumerate(colour):
+        classes.setdefault(c, []).append(v)
     return [classes[c] for c in sorted(classes)]
 
 
 def canonical_labelling(g: Graph) -> list[int]:
     """Vertex order whose adjacency bitstring is lexicographically minimal
     among all colour-respecting orders.  Isomorphic graphs map to the same
-    relabelled graph."""
+    relabelled graph.
+
+    Twins, two vertices a < b with ``adj[a]`` and ``adj[b]`` equal apart
+    from each other, share a refinement class, and the search places b
+    only after a.  Swapping twins is an automorphism, so swaps turn every
+    order into one with its twins in id order and the same bitstring: the
+    minimum over those orders is the minimum over all.
+    """
     n = g.n
     if n == 0:
         return []
+    adj = g.adj
     classes = _refinement_classes(g)
     slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
     available = [list(cls) for cls in classes]
+    # twin[b]: b's highest twin below it, or -1.  Twins are an equivalence
+    # (a vertex with a true twin has no false twin), so b may be placed
+    # once twin[b] is.
+    twin = [-1] * n
+    for cls in classes:
+        for i, b in enumerate(cls):
+            twin[b] = next((a for a in reversed(cls[:i])
+                            if adj[a] & ~(1 << b) == adj[b] & ~(1 << a)), -1)
     best_cols: list[int] | None = None
     best_perm: list[int] | None = None
     cols: list[int] = []
@@ -309,9 +328,11 @@ def canonical_labelling(g: Graph) -> list[int]:
             return
         cls = slot_class[i]
         for v in list(available[cls]):
+            if twin[v] in available[cls]:
+                continue
             col = 0
             for j, u in enumerate(perm):
-                col |= (g.adj[u] >> v & 1) << j
+                col |= (adj[u] >> v & 1) << j
             if equal and best_cols is not None and col > best_cols[i]:
                 continue
             nxt_equal = equal and (best_cols is None or col == best_cols[i])
@@ -331,8 +352,10 @@ def canonical_labelling(g: Graph) -> list[int]:
 def canonical_form(g: Graph) -> Graph:
     """Canonically relabelled copy of g."""
     perm = canonical_labelling(g)
-    pos = {v: i for i, v in enumerate(perm)}
-    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+    bit = [0] * g.n
+    for i, v in enumerate(perm):
+        bit[v] = 1 << i
+    return Graph._from_adj(sum(bit[w] for w in bits(g.adj[v])) for v in perm)
 
 
 def canonical_key(g: Graph) -> str:
@@ -366,10 +389,12 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
         yield level[key]
     for n in range(2, max_n + 1):
         grown: dict[str, Graph] = {}
+        top = 1 << (n - 1)
         for parent in level.values():
             for clique in _nonempty_cliques(parent):
-                child = Graph(
-                    n, parent.edges() + [(u, n - 1) for u in bits(clique)]
+                child = Graph._from_adj(
+                    [m | top if clique >> u & 1 else m
+                     for u, m in enumerate(parent.adj)] + [clique]
                 )
                 canon = canonical_form(child)
                 grown.setdefault(to_graph6(canon), canon)

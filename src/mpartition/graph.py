@@ -81,6 +81,16 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "adj", tuple(masks))
 
+    @classmethod
+    def _from_adj(cls, adj: Iterable[int]) -> Graph:
+        """Graph whose neighbourhood bitsets are ``adj``, taken as given:
+        the caller guarantees them symmetric and free of self-loops."""
+        g = object.__new__(cls)
+        masks = tuple(adj)
+        object.__setattr__(g, "n", len(masks))
+        object.__setattr__(g, "adj", masks)
+        return g
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Graph is immutable")
 

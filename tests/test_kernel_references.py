@@ -7,16 +7,18 @@ reversed PEO pass (now one sweep), the bit-at-a-time graph6 codec, the
 case analysis that scanned for triangles and K4s and ran one BFS variant
 per need, and the colour/parent-list bipartiteness test, the dict-parent
 hole search, the pairwise hole check, the pattern order built with a pair
-scan per step and the catalogue scan that tried every fan with at most n
-vertices.  The library versions must return exactly the same orders,
-holes, first violations, subgraphs, graph6 text, decode errors,
-triangles, K4s, bipartizer sets, colourings, certificate JSON and scan
-witnesses on every input; odd cycles and holes found by a layer search
-need only be valid and, for holes, as long as the reference's.
+scan per step, the catalogue scan that tried every fan with at most n
+vertices and the canonical labelling that tried every order of twins.
+The library versions must return exactly the same orders, holes, first
+violations, subgraphs, graph6 text, decode errors, triangles, K4s,
+bipartizer sets, colourings, certificate JSON, scan witnesses and
+canonical keys on every input; odd cycles and holes found by a layer
+search need only be valid and, for holes, as long as the reference's.
 """
 
 import importlib.util
 import itertools
+import math
 import random
 import sys
 from functools import reduce
@@ -24,7 +26,7 @@ from operator import and_
 from pathlib import Path
 
 import networkx as nx
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from mpartition import (
@@ -35,7 +37,9 @@ from mpartition import (
     ObstructionKind,
     VertexSet,
     bipartizer_set,
+    canonical_key,
     contains_induced,
+    enumerate_connected_chordal,
     fan,
     fan_kind,
     find_obstruction_by_scan,
@@ -51,7 +55,16 @@ from mpartition import (
     verify_assignment,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.chordal import ChordalityCertificate, _hole_through, _lex_bfs, verify_hole
+from mpartition.chordal import (
+    ChordalityCertificate,
+    _hole_through,
+    _lex_bfs,
+    _nonempty_cliques,
+    _refinement_classes,
+    canonical_form,
+    canonical_labelling,
+    verify_hole,
+)
 from mpartition.graph import (
     BipartitenessCertificate,
     _pattern_order,
@@ -1692,3 +1705,224 @@ def test_scan_matches_unbounded_reference_on_fan_hosts():
         for m in range(5):
             g = disjoint_union(fan(k), path_graph(m))
             assert find_obstruction_by_scan(g) == ref_find_obstruction_by_scan(g)
+
+
+# ---------------------------------------------------------------------------
+# canonical labelling: the search over every colour-respecting order,
+# twins included, and the refinement that called bits() every round
+# ---------------------------------------------------------------------------
+
+
+def ref_refinement_classes(g: Graph) -> list[list[int]]:
+    """Partition vertices by iterated neighbour-colour refinement.
+
+    Class order and membership depend only on the isomorphism type, so a
+    canonical relabelling may be searched within colour-respecting
+    permutations only.
+    """
+    colour = [g.degree(v) for v in range(g.n)]
+    while True:
+        sig = [
+            (colour[v], tuple(sorted(colour[w] for w in bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[sig[v]] for v in range(g.n)]
+        if new == colour:
+            break
+        colour = new
+    classes: dict[int, list[int]] = {}
+    for v in range(g.n):
+        classes.setdefault(colour[v], []).append(v)
+    return [classes[c] for c in sorted(classes)]
+
+
+def ref_canonical_labelling(g: Graph) -> list[int]:
+    """Vertex order whose adjacency bitstring is lexicographically minimal
+    among all colour-respecting orders.  Isomorphic graphs map to the same
+    relabelled graph."""
+    n = g.n
+    if n == 0:
+        return []
+    classes = ref_refinement_classes(g)
+    slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
+    available = [list(cls) for cls in classes]
+    best_cols: list[int] | None = None
+    best_perm: list[int] | None = None
+    cols: list[int] = []
+    perm: list[int] = []
+
+    def search(i: int, equal: bool) -> None:
+        nonlocal best_cols, best_perm
+        if i == n:
+            if best_cols is None or cols < best_cols:
+                best_cols = cols.copy()
+                best_perm = perm.copy()
+            return
+        cls = slot_class[i]
+        for v in list(available[cls]):
+            col = 0
+            for j, u in enumerate(perm):
+                col |= (g.adj[u] >> v & 1) << j
+            if equal and best_cols is not None and col > best_cols[i]:
+                continue
+            nxt_equal = equal and (best_cols is None or col == best_cols[i])
+            available[cls].remove(v)
+            perm.append(v)
+            cols.append(col)
+            search(i + 1, nxt_equal)
+            cols.pop()
+            perm.pop()
+            available[cls].append(v)
+
+    search(0, True)
+    assert best_perm is not None
+    return best_perm
+
+
+def ref_canonical_form(g: Graph) -> Graph:
+    perm = ref_canonical_labelling(g)
+    pos = {v: i for i, v in enumerate(perm)}
+    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges()])
+
+
+def ref_canonical_key(g: Graph) -> str:
+    return to_graph6(ref_canonical_form(g))
+
+
+def ref_enumerate_connected_chordal(max_n: int) -> list[Graph]:
+    """Simplicial growth with the reference canonical forms, each level in
+    key order."""
+    level = {ref_canonical_key(Graph(1)): Graph(1)}
+    out = [level[key] for key in sorted(level)]
+    for n in range(2, max_n + 1):
+        grown: dict[str, Graph] = {}
+        for parent in level.values():
+            for clique in _nonempty_cliques(parent):
+                child = Graph(n, parent.edges() + [(u, n - 1) for u in bits(clique)])
+                canon = ref_canonical_form(child)
+                grown.setdefault(to_graph6(canon), canon)
+        out.extend(grown[key] for key in sorted(grown))
+        level = grown
+    return out
+
+
+def has_twins(g: Graph) -> bool:
+    return any(g.adj[a] & ~(1 << b) == g.adj[b] & ~(1 << a)
+               for a, b in itertools.combinations(range(g.n), 2))
+
+
+def reference_orders(g: Graph) -> int:
+    """The colour-respecting orders that the reference may visit."""
+    return math.prod(math.factorial(len(c)) for c in ref_refinement_classes(g))
+
+
+def check_canonical(g: Graph) -> None:
+    assert _refinement_classes(g) == ref_refinement_classes(g)
+    assert canonical_key(g) == ref_canonical_key(g)
+    if not has_twins(g):  # the search is the reference's
+        assert canonical_labelling(g) == ref_canonical_labelling(g)
+
+
+def test_canonical_key_matches_reference_on_relabelled_corpus(corpus8):
+    rng = random.Random(17)
+    for g in corpus8:
+        h = relabelled(g, rng)
+        check_canonical(h)
+        assert canonical_key(h) == to_graph6(g)
+
+
+@st.composite
+def canonical_hosts(draw):
+    """A graph on at most 9 vertices of any density, with few enough
+    colour-respecting orders for the reference."""
+    n = draw(st.integers(0, 9))
+    p = draw(st.floats(0.0, 1.0))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+@settings(max_examples=200, deadline=None)
+@given(canonical_hosts())
+def test_canonical_key_matches_reference(g):
+    assume(reference_orders(g) <= math.factorial(8))
+    check_canonical(g)
+
+
+def star_graph(leaves: int) -> Graph:
+    return Graph(leaves + 1, [(0, v) for v in range(1, leaves + 1)])
+
+
+def complete_multipartite(sizes) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return Graph(n, [(u, v) for u, v in itertools.combinations(range(n), 2)
+                     if part[u] != part[v]])
+
+
+def integer_partitions(n: int, most: int | None = None):
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in integer_partitions(n - first, first):
+            yield first, *rest
+
+
+def blown_up(g: Graph, v: int, copies: int, true_twins: bool) -> Graph:
+    """g with ``copies`` new twins of v, adjacent to v and each other if
+    ``true_twins``."""
+    n = g.n + copies
+    new = range(g.n, n)
+    edges = g.edges() + [(u, w) for w in new for u in bits(g.adj[v])]
+    if true_twins:
+        clique = [v, *new]
+        edges += list(itertools.combinations(clique, 2))
+    return Graph(n, edges)
+
+
+def twin_hosts(rng):
+    """Random chordal graphs on 3-6 vertices with one to three vertices
+    blown up into twin classes, 9 vertices at most.  True twins may blow up
+    any vertex; false twins only a simplicial one, which keeps the graph
+    chordal."""
+    for _ in range(60):
+        g = random_chordal(rng.randint(3, 6), rng.random(), rng.randrange(2**32))
+        for _ in range(rng.randint(1, 3)):
+            v = rng.randrange(g.n)
+            simplicial = all(g.adj[a] >> b & 1 for a, b in
+                             itertools.combinations(bits(g.adj[v]), 2))
+            copies = min(rng.randint(1, 3), 9 - g.n)
+            if copies:
+                g = blown_up(g, v, copies, rng.random() < 0.5 or not simplicial)
+        yield g
+
+
+def test_canonical_key_matches_reference_on_twin_hosts():
+    rng = random.Random(4)
+    hosts = [star_graph(k) for k in range(1, 9)]
+    hosts += [complete_multipartite(sizes)
+              for n in range(1, 10) for sizes in integer_partitions(n)]
+    blown = list(twin_hosts(rng))
+    assert all(is_chordal(g) for g in blown)
+    assert sum(map(has_twins, blown)) == len(blown)
+    for g in hosts + blown:
+        h = relabelled(g, rng)
+        check_canonical(h)
+        assert canonical_key(h) == canonical_key(g)
+
+
+def test_enumeration_matches_reference_enumeration():
+    assert list(enumerate_connected_chordal(7)) == ref_enumerate_connected_chordal(7)
+
+
+def test_twin_heavy_graphs_past_the_reference_canonicalise():
+    # 12! orders of the star's leaves, and 12! in the one refinement class
+    # of K6,6 and of K4,4,4
+    rng = random.Random(6)
+    for g in (star_graph(12), complete_multipartite((6, 6)),
+              complete_multipartite((4, 4, 4))):
+        canon = canonical_form(g)
+        assert nx.is_isomorphic(nx_graph(canon), nx_graph(g))
+        for _ in range(5):
+            assert canonical_form(relabelled(g, rng)) == canon
