@@ -24,7 +24,9 @@ parity, one mask step per visit, and counts the components with an edge.
 Enumeration grows graphs one simplicial vertex at a time: removing a
 simplicial vertex from a connected graph keeps it connected, so every
 connected chordal graph on k+1 vertices arises from one on k vertices by
-attaching a new vertex to a non-empty clique.
+attaching a new vertex to a non-empty clique.  Swapping twins of the
+smaller graph is an automorphism, so the cliques that meet each of its
+twin classes in a prefix suffice.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator
 
-from .graph import Graph, bfs_layers, bits, lowest, to_graph6, tree_path
+from .graph import Graph, _graph6_from_columns, bfs_layers, bits, lowest, tree_path
 
 
 @dataclass(frozen=True)
@@ -250,8 +252,7 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
         for w in rng.sample(sorted(clique), size):
             adj[v] |= 1 << w
             adj[w] |= 1 << v
-    edges = [(u, v) for u in range(n) for v in bits(adj[u]) if u < v]
-    return Graph(n, edges)
+    return Graph._from_adj(adj)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +261,8 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
 # Twins (vertices whose neighbourhoods agree apart from each other) are
 # placed in id order only.  Swapping twins is an automorphism, so this
 # keeps the least adjacency string, and k twins cost one order, not k!.
+# The search drops each prefix whose columns exceed the least leaf found so
+# far, and the canonical key is the graph6 encoding of that leaf's columns.
 # ---------------------------------------------------------------------------
 
 MAX_ENUMERATION_N = 9
@@ -270,22 +273,94 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
 
     Class order and membership depend only on the isomorphism type, so a
     canonical relabelling may be searched within colour-respecting
-    permutations only.
+    permutations only.  A round only splits classes, so one that keeps
+    their count keeps the partition and ends the refinement: its ranks are
+    those of the round before, or after the first round, of the degrees.
     """
     nbrs = [list(bits(m)) for m in g.adj]
     colour = [len(ws) for ws in nbrs]
+    count = len(set(colour))
     while True:
-        sig = [(colour[v], tuple(sorted([colour[w] for w in ws])))
-               for v, ws in enumerate(nbrs)]
+        sig = [(c, tuple(sorted(map(colour.__getitem__, ws))))
+               for c, ws in zip(colour, nbrs)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[s] for s in sig]
-        if new == colour:
+        colour = [rank[s] for s in sig]
+        if len(rank) == count:
             break
-        colour = new
+        count = len(rank)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colour):
         classes.setdefault(c, []).append(v)
     return [classes[c] for c in sorted(classes)]
+
+
+def _lower_twins(adj: tuple[int, ...]) -> list[int]:
+    """twin[b]: b's highest twin below it, or -1.  False twins share their
+    neighbourhood and true twins their closed one; no vertex's
+    neighbourhood is another's closed one, so one dict holds both.  Twins
+    are an equivalence (a vertex with a true twin has no false twin)."""
+    twin = [-1] * len(adj)
+    last: dict[int, int] = {}
+    for b, m in enumerate(adj):
+        for key in (m, m | 1 << b):
+            twin[b] = last.get(key, twin[b])
+            last[key] = b
+    return twin
+
+
+def _canonical_columns(g: Graph) -> tuple[list[int], list[int]]:
+    """The least colour-respecting order ``perm`` and its columns:
+    ``cols[i]`` has bit j set, for j < i, iff perm[j] and perm[i] are
+    adjacent.  The columns are those of g relabelled by perm, in graph6's
+    bit order."""
+    n = g.n
+    if n == 0:
+        return [], []
+    adj = g.adj
+    classes = _refinement_classes(g)
+    slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
+    available = [list(cls) for cls in classes]
+    # twins share a refinement class; b may be placed once twin[b] is
+    twin = _lower_twins(adj)
+    best_cols: list[int] | None = None
+    best_perm: list[int] | None = None
+    cols: list[int] = []
+    perm: list[int] = []
+
+    def search(i: int, equal: bool) -> bool:
+        # equal: cols[:i] is the best leaf's prefix, else it is smaller.
+        # Returns whether a new best leaf was found below; the prefix is
+        # then the new best's, so the remaining siblings are compared.
+        nonlocal best_cols, best_perm
+        if i == n:
+            if best_cols is None or cols < best_cols:
+                best_cols = cols.copy()
+                best_perm = perm.copy()
+                return True
+            return False
+        found = False
+        cls = slot_class[i]
+        for v in list(available[cls]):
+            if twin[v] in available[cls]:
+                continue
+            col = 0
+            for j, u in enumerate(perm):
+                col |= (adj[u] >> v & 1) << j
+            if equal and best_cols is not None and col > best_cols[i]:
+                continue
+            available[cls].remove(v)
+            perm.append(v)
+            cols.append(col)
+            if search(i + 1, equal and (best_cols is None or col == best_cols[i])):
+                found = equal = True
+            cols.pop()
+            perm.pop()
+            available[cls].append(v)
+        return found
+
+    search(0, True)
+    assert best_perm is not None and best_cols is not None
+    return best_perm, best_cols
 
 
 def canonical_labelling(g: Graph) -> list[int]:
@@ -297,70 +372,30 @@ def canonical_labelling(g: Graph) -> list[int]:
     from each other, share a refinement class, and the search places b
     only after a.  Swapping twins is an automorphism, so swaps turn every
     order into one with its twins in id order and the same bitstring: the
-    minimum over those orders is the minimum over all.
+    minimum over those orders is the minimum over all.  Once a leaf is
+    found below a prefix, the prefix's remaining extensions are compared
+    with it, and one whose next column is larger is dropped: all its
+    leaves are larger, so the first least leaf in search order stays.
     """
-    n = g.n
-    if n == 0:
-        return []
-    adj = g.adj
-    classes = _refinement_classes(g)
-    slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
-    available = [list(cls) for cls in classes]
-    # twin[b]: b's highest twin below it, or -1.  Twins are an equivalence
-    # (a vertex with a true twin has no false twin), so b may be placed
-    # once twin[b] is.
-    twin = [-1] * n
-    for cls in classes:
-        for i, b in enumerate(cls):
-            twin[b] = next((a for a in reversed(cls[:i])
-                            if adj[a] & ~(1 << b) == adj[b] & ~(1 << a)), -1)
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
-    cols: list[int] = []
-    perm: list[int] = []
-
-    def search(i: int, equal: bool) -> None:
-        nonlocal best_cols, best_perm
-        if i == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols.copy()
-                best_perm = perm.copy()
-            return
-        cls = slot_class[i]
-        for v in list(available[cls]):
-            if twin[v] in available[cls]:
-                continue
-            col = 0
-            for j, u in enumerate(perm):
-                col |= (adj[u] >> v & 1) << j
-            if equal and best_cols is not None and col > best_cols[i]:
-                continue
-            nxt_equal = equal and (best_cols is None or col == best_cols[i])
-            available[cls].remove(v)
-            perm.append(v)
-            cols.append(col)
-            search(i + 1, nxt_equal)
-            cols.pop()
-            perm.pop()
-            available[cls].append(v)
-
-    search(0, True)
-    assert best_perm is not None
-    return best_perm
+    return _canonical_columns(g)[0]
 
 
-def canonical_form(g: Graph) -> Graph:
-    """Canonically relabelled copy of g."""
-    perm = canonical_labelling(g)
+def _relabelled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex perm[i] renamed i."""
     bit = [0] * g.n
     for i, v in enumerate(perm):
         bit[v] = 1 << i
     return Graph._from_adj(sum(bit[w] for w in bits(g.adj[v])) for v in perm)
 
 
+def canonical_form(g: Graph) -> Graph:
+    """Canonically relabelled copy of g."""
+    return _relabelled(g, canonical_labelling(g))
+
+
 def canonical_key(g: Graph) -> str:
     """Canonical graph6 string: equal iff the graphs are isomorphic."""
-    return to_graph6(canonical_form(g))
+    return _graph6_from_columns(g.n, _canonical_columns(g)[1][:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -369,13 +404,24 @@ def canonical_key(g: Graph) -> str:
 
 
 def _nonempty_cliques(g: Graph) -> Iterator[int]:
-    """All non-empty cliques of g as bitsets (ascending-id extension)."""
-    stack = [(1 << v, g.adj[v] & ~((1 << (v + 1)) - 1)) for v in range(g.n)]
+    """The non-empty cliques of g that meet each twin class of g in a
+    prefix (in id order), as bitsets (ascending-id extension): a vertex b
+    extends a clique only if its next lower twin is in it.
+
+    Swapping twins is an automorphism of g and maps cliques to cliques, so
+    swaps carry every clique onto one of these, and a new vertex attached
+    to either gives isomorphic graphs.
+    """
+    adj = g.adj
+    lead = [1 << a if a >= 0 else 0 for a in _lower_twins(adj)]
+    stack = [(1 << v, adj[v] & ~((1 << (v + 1)) - 1))
+             for v in range(g.n) if not lead[v]]
     while stack:
         clique, ext = stack.pop()
         yield clique
         for v in bits(ext):
-            stack.append((clique | 1 << v, ext & g.adj[v] & ~((1 << (v + 1)) - 1)))
+            if not lead[v] & ~clique:
+                stack.append((clique | 1 << v, ext & adj[v] & ~((1 << (v + 1)) - 1)))
 
 
 def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
@@ -396,8 +442,10 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
                     [m | top if clique >> u & 1 else m
                      for u, m in enumerate(parent.adj)] + [clique]
                 )
-                canon = canonical_form(child)
-                grown.setdefault(to_graph6(canon), canon)
+                perm, cols = _canonical_columns(child)
+                key = _graph6_from_columns(n, cols[:0:-1])
+                if key not in grown:  # the canonical form only once per class
+                    grown[key] = _relabelled(child, perm)
         for key in sorted(grown):
             yield grown[key]
         level = grown

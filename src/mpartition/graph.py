@@ -216,7 +216,15 @@ def from_graph6(text: str) -> Graph:
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no trailing newline)."""
-    n = g.n
+    adj = g.adj
+    return _graph6_from_columns(
+        g.n, (adj[j] & ((1 << j) - 1) for j in range(g.n - 1, 0, -1)))
+
+
+def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
+    """graph6 line of the n-vertex graph whose lower-triangle columns are
+    ``columns``, from column n-1 down to column 1: bit i of column j is the
+    pair (i, j), for i < j."""
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 encoding supported only for n <= {MAX_VERTICES}")
     if n <= 62:
@@ -228,8 +236,8 @@ def to_graph6(g: Graph) -> str:
     # small graphs to one format call and large ones free of a growing int.
     chunks = []
     chunk = width = 0
-    for j in range(n - 1, 0, -1):
-        chunk = chunk << j | g.adj[j] & ((1 << j) - 1)
+    for j, col in zip(range(n - 1, 0, -1), columns):
+        chunk = chunk << j | col
         width += j
         if width >= 4096 or j == 1:
             chunks.append(format(chunk, f"0{width}b"))

@@ -138,6 +138,15 @@ def test_random_chordal_sweep():
         assert is_connected(g)
 
 
+def test_random_chordal_is_symmetric_and_loop_free():
+    # the generator builds its masks itself; rebuilding them from the edge
+    # list through the validating constructor must give the same graph
+    spread = itertools.product((1, 2, 7, 60, 150), (0.0, 0.3, 0.7, 1.0), range(3))
+    for n, bias, seed in spread:
+        g = random_chordal(n, bias, seed)
+        assert g == Graph(n, g.edges())
+
+
 # -- canonical forms ---------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ case analysis that scanned for triangles and K4s and ran one BFS variant
 per need, and the colour/parent-list bipartiteness test, the dict-parent
 hole search, the pairwise hole check, the pattern order built with a pair
 scan per step, the catalogue scan that tried every fan with at most n
-vertices and the canonical labelling that tried every order of twins.
+vertices, the canonical labelling that tried every order of twins, and
+the enumeration that attached a vertex to every clique.
 The library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
 bipartizer sets, colourings, certificate JSON, scan witnesses and
@@ -1709,7 +1710,8 @@ def test_scan_matches_unbounded_reference_on_fan_hosts():
 
 # ---------------------------------------------------------------------------
 # canonical labelling: the search over every colour-respecting order,
-# twins included, and the refinement that called bits() every round
+# twins included, the refinement that called bits() every round and ran
+# one confirming round, and the growth from every clique
 # ---------------------------------------------------------------------------
 
 
@@ -1790,16 +1792,32 @@ def ref_canonical_key(g: Graph) -> str:
     return to_graph6(ref_canonical_form(g))
 
 
+def ref_nonempty_cliques(g: Graph):
+    """All non-empty cliques of g as bitsets (ascending-id extension)."""
+    stack = [(1 << v, g.adj[v] & ~((1 << (v + 1)) - 1)) for v in range(g.n)]
+    while stack:
+        clique, ext = stack.pop()
+        yield clique
+        for v in bits(ext):
+            stack.append((clique | 1 << v, ext & g.adj[v] & ~((1 << (v + 1)) - 1)))
+
+
+def grown_children(parent: Graph, cliques) -> list[Graph]:
+    """parent with one new vertex attached to each clique in turn."""
+    n = parent.n + 1
+    return [Graph(n, parent.edges() + [(u, n - 1) for u in bits(clique)])
+            for clique in cliques]
+
+
 def ref_enumerate_connected_chordal(max_n: int) -> list[Graph]:
-    """Simplicial growth with the reference canonical forms, each level in
-    key order."""
+    """Simplicial growth from every clique with the reference canonical
+    forms, each level in key order."""
     level = {ref_canonical_key(Graph(1)): Graph(1)}
     out = [level[key] for key in sorted(level)]
     for n in range(2, max_n + 1):
         grown: dict[str, Graph] = {}
         for parent in level.values():
-            for clique in _nonempty_cliques(parent):
-                child = Graph(n, parent.edges() + [(u, n - 1) for u in bits(clique)])
+            for child in grown_children(parent, ref_nonempty_cliques(parent)):
                 canon = ref_canonical_form(child)
                 grown.setdefault(to_graph6(canon), canon)
         out.extend(grown[key] for key in sorted(grown))
@@ -1820,6 +1838,8 @@ def reference_orders(g: Graph) -> int:
 def check_canonical(g: Graph) -> None:
     assert _refinement_classes(g) == ref_refinement_classes(g)
     assert canonical_key(g) == ref_canonical_key(g)
+    # the key is encoded from the search's columns, not from canonical_form
+    assert canonical_key(g) == to_graph6(canonical_form(g))
     if not has_twins(g):  # the search is the reference's
         assert canonical_labelling(g) == ref_canonical_labelling(g)
 
@@ -1881,18 +1901,18 @@ def blown_up(g: Graph, v: int, copies: int, true_twins: bool) -> Graph:
     return Graph(n, edges)
 
 
-def twin_hosts(rng):
-    """Random chordal graphs on 3-6 vertices with one to three vertices
-    blown up into twin classes, 9 vertices at most.  True twins may blow up
-    any vertex; false twins only a simplicial one, which keeps the graph
-    chordal."""
-    for _ in range(60):
-        g = random_chordal(rng.randint(3, 6), rng.random(), rng.randrange(2**32))
+def twin_hosts(rng, count=60, base=(3, 6), most=9):
+    """``count`` random chordal graphs on ``base`` (a range) vertices with
+    one to three vertices blown up into twin classes, ``most`` vertices at
+    most.  True twins may blow up any vertex; false twins only a simplicial
+    one, which keeps the graph chordal."""
+    for _ in range(count):
+        g = random_chordal(rng.randint(*base), rng.random(), rng.randrange(2**32))
         for _ in range(rng.randint(1, 3)):
             v = rng.randrange(g.n)
             simplicial = all(g.adj[a] >> b & 1 for a, b in
                              itertools.combinations(bits(g.adj[v]), 2))
-            copies = min(rng.randint(1, 3), 9 - g.n)
+            copies = min(rng.randint(1, 3), most - g.n)
             if copies:
                 g = blown_up(g, v, copies, rng.random() < 0.5 or not simplicial)
         yield g
@@ -1914,6 +1934,44 @@ def test_canonical_key_matches_reference_on_twin_hosts():
 
 def test_enumeration_matches_reference_enumeration():
     assert list(enumerate_connected_chordal(7)) == ref_enumerate_connected_chordal(7)
+
+
+def test_twin_prefix_cliques_grow_every_child():
+    # swapping twins maps cliques to cliques, so growing from the cliques
+    # that meet each twin class in a prefix reaches every child's class
+    for g in ref_enumerate_connected_chordal(7):
+        pruned = list(_nonempty_cliques(g))
+        every = set(ref_nonempty_cliques(g))
+        assert len(set(pruned)) == len(pruned) and set(pruned) <= every
+        assert ({canonical_key(c) for c in grown_children(g, pruned)}
+                == {canonical_key(c) for c in grown_children(g, every)})
+
+
+def test_canonical_keys_past_the_reference():
+    # 10-12 vertices, where the reference may try up to 12! orders: keys
+    # must survive relabelling and tell isomorphism classes apart.  About
+    # half the random hosts are trees, which often share a degree sequence.
+    rng = random.Random(10)
+    hosts = [random_chordal(rng.randint(10, 12), rng.choice([1.0, rng.random()]),
+                            rng.randrange(2**32)) for _ in range(40)]
+    hosts += twin_hosts(rng, 40, (9, 11), 12)
+    assert all(10 <= g.n <= 12 for g in hosts)
+    pool = hosts + [relabelled(g, rng) for g in hosts]
+    keys = [canonical_key(g) for g in pool]
+    for g, key in zip(pool, keys):
+        assert to_graph6(canonical_form(g)) == key
+        for _ in range(3):
+            assert canonical_key(relabelled(g, rng)) == key
+    nxs = [nx_graph(g) for g in pool]
+    degrees = [sorted(d for _, d in h.degree) for h in nxs]
+    isomorphic = near_misses = 0
+    for i, j in itertools.combinations(range(len(pool)), 2):
+        same = nx.is_isomorphic(nxs[i], nxs[j])
+        assert (keys[i] == keys[j]) == same
+        isomorphic += same
+        near_misses += not same and degrees[i] == degrees[j]
+    assert isomorphic >= len(hosts)  # each host and its relabelled copy
+    assert near_misses > 0
 
 
 def test_twin_heavy_graphs_past_the_reference_canonicalise():
