@@ -210,7 +210,7 @@ def _hole_through(g: Graph, v: int, u: int, w: int) -> tuple[int, ...] | None:
     # Shortest u-w path avoiding every neighbour of v except u, w closes a
     # chordless cycle with v (path chords are ruled out by minimality).
     banned = (g.adj[v] | 1 << v) & ~(1 << u) & ~(1 << w)
-    layers = bfs_layers(g, u, banned)
+    layers = bfs_layers(g, 1 << u, banned)
     for d, layer in enumerate(layers):
         if layer >> w & 1:
             return (v, *reversed(tree_path(g, layers, w, d)))

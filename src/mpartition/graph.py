@@ -7,10 +7,12 @@ pattern detection and enumeration are single word-parallel operations.
 The module also carries the graph interchange formats (graph6, plain edge
 lists, DOT), the small-pattern search primitive (induced subgraph
 embedding) and the one breadth-first search of the package:
-``bfs_layers`` returns a component's layers as bitsets, and a vertex's
-tree parent is its lowest neighbour in the previous layer
+``bfs_layers`` returns the layers around a set of sources as bitsets, and
+a vertex's tree parent is its lowest neighbour in the previous layer
 (``tree_path``).  Components, depth-parity colourings, edges inside a
 layer and the odd cycles they close are all read off those layers.
+``selector`` spreads a set to one byte per vertex, so that
+``itertools.compress`` picks its neighbourhoods out of ``adj`` in C.
 """
 
 from __future__ import annotations
@@ -41,6 +43,17 @@ def bits(mask: int) -> Iterator[int]:
 def lowest(mask: int) -> int:
     """Index of the lowest set bit of a non-zero ``mask``."""
     return (mask & -mask).bit_length() - 1
+
+
+#: binary digits to the byte values 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def selector(n: int, mask: int) -> bytes:
+    """The n-bit ``mask`` as n bytes, byte v 1 if bit v is set, else 0:
+    ``compress(g.adj, selector(g.n, mask))`` yields the members'
+    neighbourhoods in one C-level pass."""
+    return format(mask | 1 << n, "b")[:0:-1].encode().translate(_DIGIT_BYTES)
 
 
 def first_edge(g: Graph, mask: int) -> tuple[int, int] | None:
@@ -401,13 +414,13 @@ def is_isomorphic(a: Graph, b: Graph) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def bfs_layers(g: Graph, root: int, removed: int = 0) -> list[int]:
-    """Breadth-first layers of ``root``'s component in g minus the bitset
-    ``removed``: layer d is the bitset of the vertices at distance d.  Each
-    layer is the OR of its predecessor's neighbourhoods, less the vertices
-    already seen."""
+def bfs_layers(g: Graph, sources: int, removed: int = 0) -> list[int]:
+    """Breadth-first layers from the bitset ``sources`` in g minus the
+    bitset ``removed``: layer d is the bitset of the vertices at distance d
+    from the nearest source.  Each layer is the OR of its predecessor's
+    neighbourhoods, less the vertices already seen."""
     adj = g.adj
-    frontier = 1 << root
+    frontier = sources
     seen = removed | frontier
     layers = [frontier]
     while True:
@@ -425,7 +438,7 @@ def bfs_layers(g: Graph, root: int, removed: int = 0) -> list[int]:
 
 
 def tree_path(g: Graph, layers: list[int], v: int, d: int) -> list[int]:
-    """Path from ``v`` in ``layers[d]`` up to the root, each step to the
+    """Path from ``v`` in ``layers[d]`` up to layer 0, each step to the
     lowest neighbour in the previous layer."""
     path = [v]
     for layer in reversed(layers[:d]):
@@ -439,7 +452,7 @@ def forest(g: Graph, removed: int = 0) -> Iterator[tuple[int, list[int]]]:
     vertex."""
     rest = ((1 << g.n) - 1) & ~removed
     while rest:
-        layers = bfs_layers(g, lowest(rest), removed)
+        layers = bfs_layers(g, rest & -rest, removed)
         comp = reduce(or_, layers)
         rest &= ~comp
         yield comp, layers

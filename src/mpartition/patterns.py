@@ -14,9 +14,12 @@ oracle at small scale, not a decision procedure for large inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, repeat
+from operator import and_, or_
 from typing import Sequence
 
-from .graph import Graph, induced
+from .graph import Graph, induced, selector
 
 ZERO, ONE, STAR = "0", "1", "*"
 
@@ -89,25 +92,23 @@ def verify_assignment(
     """None if the assignment satisfies the pattern, else the first violation.
 
     The assignment must place every vertex in a valid part; parts may be
-    empty.
+    empty.  Each part is checked whole: the union of its members'
+    neighbourhoods must miss each part of a 0 cell in its row, and their
+    intersection must cover each other part of a 1 cell; a 1 on the
+    diagonal is checked by counting the edges inside the part.  Only a
+    failed check scans the vertices, to name the first violating pair.
     """
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
+    if _parts_hold(g, pattern, assignment):
+        return None
     m = pattern.m
     part_masks = [0] * m
     for v, part in enumerate(assignment):
         if not 0 <= part < m:
             raise ValueError(f"vertex {v} assigned to invalid part {part}")
         part_masks[part] |= 1 << v
-    # per part: the vertices its members must see, and must miss
-    must_see = [0] * m
-    must_miss = [0] * m
-    for i, row in enumerate(pattern.cells):
-        for j, cell in enumerate(row):
-            if cell == ONE:
-                must_see[i] |= part_masks[j]
-            elif cell == ZERO:
-                must_miss[i] |= part_masks[j]
+    must_see, must_miss = _demands(pattern, part_masks)  # scan for the first pair
     for u, i in enumerate(assignment):
         nb = g.adj[u]
         bad = (must_see[i] & ~nb | must_miss[i] & nb) >> (u + 1)
@@ -116,6 +117,46 @@ def verify_assignment(
             j = assignment[v]
             return PartitionViolation(u, v, i, j, pattern.cells[i][j])
     return None
+
+
+def _parts_hold(g: Graph, pattern: Pattern, assignment: Sequence[int]) -> bool:
+    """Does every part meet its row of the pattern?  False also on an invalid
+    part or a pattern wider than a byte, which ``verify_assignment``'s scan
+    then reports or decides."""
+    try:
+        parts = bytes(assignment)
+    except (TypeError, ValueError):  # a part outside range(256)
+        return False
+    m = pattern.m
+    if m > 256 or parts and max(parts) >= m:
+        return False
+    digits = parts[::-1]
+    masks = [int(b"0" + digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2)
+             for i in range(m)]
+    for i, (see, miss) in enumerate(zip(*_demands(pattern, masks))):
+        own = masks[i]
+        members = list(compress(g.adj, selector(g.n, own)))
+        if miss & reduce(or_, members, 0) or see & ~own & ~reduce(and_, members, -1):
+            return False
+        if see & own:  # a clique: each of its k members sees the other k - 1
+            k = len(members)
+            if sum(map(int.bit_count, map(and_, members, repeat(own)))) != k * (k - 1):
+                return False
+    return True
+
+
+def _demands(pattern: Pattern, masks: list[int]) -> tuple[list[int], list[int]]:
+    """Per part, given each part's bitset: the vertices its members must
+    see, and must miss."""
+    must_see = [0] * pattern.m
+    must_miss = [0] * pattern.m
+    for i, row in enumerate(pattern.cells):
+        for j, cell in enumerate(row):
+            if cell == ONE:
+                must_see[i] |= masks[j]
+            elif cell == ZERO:
+                must_miss[i] |= masks[j]
+    return must_see, must_miss
 
 
 def solve(g: Graph, pattern: Pattern) -> Assignment | None:

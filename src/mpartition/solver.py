@@ -22,10 +22,11 @@ finds (``ChordalityCertificate.cliques``), in this order:
   path-parity among the spoke trees is bounded by F1/F2/F4/fan checks.
 
 The chordality sweep hands over depth parity and the number of
-components with an edge, the hub branch reads its layers off adjacency
-masks, and every other traversal is one breadth-first layer search on
-bitsets (``graph.bfs_layers``); every "first edge inside a vertex set" is
-``graph.first_edge``.
+components with an edge.  The hub branch reads its layers in whole-set
+passes (``graph.selector``) and 2-colours its spoke forest in one layer
+search from every spoke that holds a pendant.  Every other traversal is
+one breadth-first layer search on bitsets (``graph.bfs_layers``); every
+"first edge inside a vertex set" is ``graph.first_edge``.
 
 Every certificate is re-verified before it is returned, so a structural
 bug surfaces as an internal error rather than a wrong answer.
@@ -36,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, compress
 from operator import and_, or_
 
 from .catalogue import ObstructionKind, catalogue_graph, fan_kind, obstruction_size
@@ -53,6 +54,7 @@ from .graph import (
     is_isomorphic,
     layer_edge,
     lowest,
+    selector,
     tree_path,
 )
 from .patterns import M1, Assignment, verify_assignment
@@ -204,21 +206,12 @@ def _tree_edge(g: Graph, layers: list[int], d: int) -> tuple[int, int]:
     return lowest(g.adj[y] & layers[d - 1]), y
 
 
-#: binary digits to the byte values 0 and 1
-_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")
-
-
-def _spread(n: int, mask: int) -> int:
-    """The n-bit ``mask`` with bit v moved to byte v (little-endian)."""
-    digits = format(mask | 1 << n, "b")[:0:-1].encode()
-    return int.from_bytes(digits.translate(_DIGIT_BYTES), "little")
-
-
 def _yes(n: int, part1: int, part2: int = 0) -> M1Certificate:
     """Yes-certificate with the disjoint bitsets ``part1`` and ``part2`` in
     parts 1 and 2 and every other vertex in part 0.  Spreading each part
-    one bit per byte builds the assignment in O(n) steps."""
-    parts = _spread(n, part1) | _spread(n, part2) << 1
+    one bit per byte (``selector``) builds the assignment in O(n) steps."""
+    one, two = (int.from_bytes(selector(n, part), "little") for part in (part1, part2))
+    parts = one | two << 1
     return M1Certificate(tuple(parts.to_bytes(n, "little")), None)
 
 
@@ -302,7 +295,7 @@ def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
     if not g.has_edge(v1, v2) or not apex_mask:
         raise RuntimeError("internal error: bipartizers must span a shared edge")
     apexes = list(bits(apex_mask))
-    apex_trees = {v: bfs_layers(g, v, 1 << v1 | 1 << v2) for v in apexes}
+    apex_trees = {v: bfs_layers(g, 1 << v, 1 << v1 | 1 << v2) for v in apexes}
     for v in apexes:
         if len(apex_trees[v]) > 2 and len(apexes) > 1:
             other = min(a for a in apexes if a != v)
@@ -311,8 +304,8 @@ def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
                 {v1, v2, other, *_tree_edge(g, apex_trees[v], 2)},
             )
 
-    t1 = bfs_layers(g, v1, apex_mask | 1 << v2)
-    t2 = bfs_layers(g, v2, apex_mask | 1 << v1)
+    t1 = bfs_layers(g, 1 << v1, apex_mask | 1 << v2)
+    t2 = bfs_layers(g, 1 << v2, apex_mask | 1 << v1)
     trees = [*apex_trees.values(), t1, t2]
     covered = reduce(or_, (layer for layers in trees for layer in layers))
     if any(g.adj[v] for v in bits(((1 << g.n) - 1) & ~covered)):
@@ -346,24 +339,24 @@ def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
 
 def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
     """Certify a non-bipartite chordal graph, connected but for isolated
-    vertices (left in part 0), whose only bipartizer is ``hub``: one pass
-    over the spokes and one over the outer vertices read its layers."""
+    vertices (left in part 0), whose only bipartizer is ``hub``.  Whole-set
+    passes read its layers: the outer vertices are what the spokes see
+    beyond them, and the attached spokes (holding a pendant) are what the
+    outer vertices see.  One layer search from every attached spoke
+    2-colours their spoke trees; trees without one are searched from
+    their lowest vertex."""
     adj = g.adj
+    n = g.n
     spoke_mask = adj[hub]
     beyond = ~(spoke_mask | 1 << hub)
-    attach: dict[int, int] = {}
-    attach_mask = outer_mask = 0
-    for u in bits(spoke_mask):
-        pendant = adj[u] & beyond
-        if pendant:
-            attach[u] = lowest(pendant)
-            attach_mask |= 1 << u
-            outer_mask |= pendant
-    grown = crowded = 0  # crowded: non-zero if an outer vertex is not pendant
-    for v in bits(outer_mask):
-        grown |= adj[v]
-        crowded |= adj[v] & (adj[v] - 1)
+    outer_mask = reduce(or_, compress(adj, selector(n, spoke_mask)), 0) & beyond
+    outer = list(compress(adj, selector(n, outer_mask)))
+    grown = reduce(or_, outer, 0)
+    attach_mask = grown & spoke_mask
     deeper = grown & ~(spoke_mask | outer_mask)
+
+    def leaf(u: int) -> int:  # the lowest pendant of an attached spoke
+        return lowest(adj[u] & beyond)
 
     if deeper:
         x2, x3 = _tree_edge(g, [1 << hub, spoke_mask, outer_mask, deeper], 3)
@@ -376,54 +369,65 @@ def solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
         return _no(ObstructionKind("F1"), {hub, *edge, x2, x3})
 
     # structure forced by chordality and the unique bipartizer: pendant
-    # outer vertices, so the outer layer is independent too
-    if crowded:
+    # outer vertices (each sees one spoke), so the outer layer is
+    # independent too
+    if sum(map(int.bit_count, outer)) != outer_mask.bit_count():
         raise RuntimeError("internal error: outer vertices must be pendant")
 
-    edge = first_edge(g, attach_mask)
-    if edge:
+    if reduce(or_, compress(adj, selector(n, attach_mask)), 0) & attach_mask:
         # adjacent spokes both holding pendants: an F2 via the first third
         # spoke clear of both, otherwise second neighbours on both sides
         # give F4.  Without such a spoke the spoke forest is the stars of
         # u and w joined by u-w: another spoke edge would close a K4 with
         # the hub or a chordless four-cycle.
-        u, w = edge
+        u, w = first_edge(g, attach_mask)
         pair = 1 << u | 1 << w
         loose = spoke_mask & ~(g.adj[u] | g.adj[w] | pair)
         if loose:
-            return _no(
-                ObstructionKind("F2"), {hub, u, w, lowest(loose), attach[u], attach[w]}
-            )
+            wit = {hub, u, w, lowest(loose), leaf(u), leaf(w)}
+            return _no(ObstructionKind("F2"), wit)
         pu = g.adj[u] & spoke_mask & ~pair
         pw = g.adj[w] & spoke_mask & ~pair
         if not pu or not pw or first_edge(g, spoke_mask & ~pair):
             raise RuntimeError("internal error: spoke forest structure violated")
         return _no(
             ObstructionKind("F4"),
-            {hub, u, w, attach[u], attach[w], lowest(pu), lowest(pw)},
+            {hub, u, w, leaf(u), leaf(w), lowest(pu), lowest(pw)},
         )
 
-    # spoke trees: even depth from the root in part 1, odd depth and the
-    # outer (pendant) vertices in part 0.  g minus the hub is bipartite, so
-    # parity from the root is parity from the tree's lowest vertex, flipped
-    # if the root is odd.
-    part1 = 0
-    for comp, tree in forest(g, ~spoke_mask):
+    # spoke trees: even depth from an attached spoke in part 1, odd depth
+    # and the pendants in part 0.  g minus the hub is a forest, so an edge
+    # inside a layer (within the even or the odd ones) means that some
+    # tree holds two attached spokes at odd distance: a fan.
+    layers = bfs_layers(g, attach_mask, ~spoke_mask)
+    even = reduce(or_, layers[::2])
+    odd = reduce(or_, layers[1::2], 0)
+    clash = reduce(or_, compress(adj, selector(n, even)), 0) & even
+    clash |= reduce(or_, compress(adj, selector(n, odd)), 0) & odd
+    if clash:
+        # the first such tree in order of its lowest vertex: its lowest
+        # attached spoke (root), the lowest one at odd distance from it
+        # (w), and the tree path between them, where their paths to the
+        # lowest vertex part
+        comp, tree = next((c, t) for c, t in forest(g, ~spoke_mask) if c & clash)
         attached_here = comp & attach_mask
-        root = lowest(attached_here or comp)
-        odd = reduce(or_, tree[1::2], 0)
-        if odd >> root & 1:
-            odd = comp & ~odd
-        if attached_here & odd:
-            tree = bfs_layers(g, root, ~spoke_mask)
-            w = lowest(attached_here & odd)
-            d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
-            if d < 3:
-                raise RuntimeError("internal error: adjacent pendant spokes missed")
-            wit = {hub, attach[root], attach[w], *tree_path(g, tree, w, d)}
-            return _no(fan_kind((d + 1) // 2), wit)
-        part1 |= comp & ~odd
-    return _yes(g.n, part1, 1 << hub)
+        root = lowest(attached_here)
+        far = reduce(or_, tree[1::2], 0)  # odd depth from the lowest vertex
+        w = lowest(attached_here & (comp & ~far if far >> root & 1 else far))
+        depth = {v: next(d for d, lay in enumerate(tree) if lay >> v & 1)
+                 for v in (root, w)}
+        pr, pw = (tree_path(g, tree, v, d) for v, d in depth.items())
+        meet = len(set(pr) & set(pw))  # the shared tail, from where they meet
+        path = pr[: len(pr) - meet + 1] + pw[: len(pw) - meet]
+        d = len(path) - 1
+        if d < 3:
+            raise RuntimeError("internal error: adjacent pendant spokes missed")
+        return _no(fan_kind((d + 1) // 2), {hub, leaf(root), leaf(w), *path})
+    # trees without an attached spoke: even depth from the lowest vertex
+    part1 = even
+    for _, tree in forest(g, ~spoke_mask | even | odd):
+        part1 |= reduce(or_, tree[::2])
+    return _yes(n, part1, 1 << hub)
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +447,7 @@ def _certify(g: Graph, chordality: ChordalityCertificate) -> M1Certificate:
         return _yes(g.n, chordality.odd)
     if chordality.edge_components > 1:
         tri = _first_clique(cliques, 3)
-        comp = reduce(or_, bfs_layers(g, tri[0]))
+        comp = reduce(or_, bfs_layers(g, 1 << tri[0]))
         # the lowest vertex outside the triangle's component with an edge
         # starts the first other component that has one
         edge = first_edge(g, ((1 << g.n) - 1) & ~comp)

@@ -8,8 +8,10 @@ case analysis that scanned for triangles and K4s and ran one BFS variant
 per need, and the colour/parent-list bipartiteness test, the dict-parent
 hole search, the pairwise hole check, the pattern order built with a pair
 scan per step, the catalogue scan that tried every fan with at most n
-vertices, the canonical labelling that tried every order of twins, and
-the enumeration that attached a vertex to every clique.
+vertices, the canonical labelling that tried every order of twins, the
+enumeration that attached a vertex to every clique, and the hub branch
+that walked its spokes and outer vertices one at a time and searched
+each spoke tree from its lowest vertex.
 The library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
 bipartizer sets, colourings, certificate JSON, scan witnesses and
@@ -22,11 +24,13 @@ import itertools
 import math
 import random
 import sys
+from collections import Counter
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 from pathlib import Path
 
 import networkx as nx
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -52,8 +56,10 @@ from mpartition import (
     is_chordal,
     random_chordal,
     solve_certifying,
+    solve_one_bipartizer,
     to_graph6,
     verify_assignment,
+    verify_certificate,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.chordal import (
@@ -69,23 +75,31 @@ from mpartition.chordal import (
 from mpartition.graph import (
     BipartitenessCertificate,
     _pattern_order,
+    bfs_layers,
     bits,
     component_masks,
     first_edge,
+    forest,
+    lowest,
+    tree_path,
 )
 from mpartition.solver import (
     Witness,
     _disjoint_triangle_witness,
     _first_clique,
     _no,
+    _tree_edge,
     _triangle_witness,
+    _yes,
 )
-from mpartition.patterns import ONE, STAR
+from mpartition.patterns import ONE, STAR, _parts_hold
 
 from auxiliary import complete_graph, cycle_graph, disjoint_union, path_graph
 
 #: A pattern with clique parts (1 on the diagonal) and a 0 off it.
 DIAG_ONE = Pattern.parse("1*0\n*01\n011")
+#: M1 with its last part a clique: the case the paper leaves open.
+M2 = Pattern.parse("0**\n*01\n*11")
 
 MAX_N = 40
 
@@ -310,10 +324,12 @@ def test_is_chordal_agrees_with_networkx(g):
 
 @st.composite
 def planted_assignments(draw, pattern):
-    """An assignment and a graph built to satisfy it, with one to three
-    vertex pairs then toggled, so violations fall anywhere."""
+    """An assignment over one to three of the parts (so some may stay
+    empty) and a graph built to satisfy it, with no vertex pair or one to
+    three then toggled, so violations fall anywhere."""
     n = draw(st.integers(0, MAX_N))
-    assignment = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    used = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    assignment = draw(st.lists(st.sampled_from(used), min_size=n, max_size=n))
     rng = draw(st.randoms(use_true_random=False))
     edges = set()
     for u in range(n):
@@ -323,7 +339,7 @@ def planted_assignments(draw, pattern):
                 edges.add((u, v))
     if n >= 2:
         vertex = st.integers(0, n - 1)
-        toggled = st.lists(st.tuples(vertex, vertex), min_size=1, max_size=3)
+        toggled = st.lists(st.tuples(vertex, vertex), max_size=3)
         for u, v in draw(toggled):
             if u != v:
                 edges ^= {(min(u, v), max(u, v))}
@@ -334,7 +350,7 @@ def planted_assignments(draw, pattern):
 def assignment_cases(draw):
     """(graph, pattern, assignment): planted, a solver's yes-partition with
     at most one vertex moved, or arbitrary."""
-    pattern = draw(st.sampled_from([M1, DIAG_ONE]))
+    pattern = draw(st.sampled_from([M1, M2, DIAG_ONE]))
     how = draw(st.sampled_from(["planted", "solver", "arbitrary"]))
     if how == "planted":
         return (pattern, *draw(planted_assignments(pattern)))
@@ -352,13 +368,38 @@ def assignment_cases(draw):
     return pattern, g, assignment
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(assignment_cases())
+@example((M1, Graph(0), []))
+@example((M2, Graph(1), [2]))
+@example((M2, Graph(3, [(0, 1)]), [2, 2, 2]))  # a 1 diagonal missing one pair
+@example((DIAG_ONE, Graph(2), [1, 1]))
+@example((M1, complete_graph(3), [0, 1, 2]))  # one vertex per part: valid
 def test_verify_assignment_matches_reference(case):
+    # the whole-part check answers None exactly when the pairwise scan
+    # does, and a failure names the same first pair
     pattern, g, assignment = case
-    assert verify_assignment(g, pattern, assignment) == ref_verify_assignment(
-        g, pattern, assignment
-    )
+    expected = ref_verify_assignment(g, pattern, assignment)
+    assert verify_assignment(g, pattern, assignment) == expected
+    assert _parts_hold(g, pattern, assignment) == (expected is None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([M1, M2, DIAG_ONE]), st.data())
+def test_verify_assignment_rejects_invalid_parts_with_the_first(pattern, data):
+    # negative parts, part m and parts of 256 or more (which no byte
+    # holds) raise for the first vertex that has one, after valid ones
+    # that may violate the pattern or not
+    n = data.draw(st.integers(1, 12))
+    g = random_graph(n, 0.4, data.draw(st.integers(0, 99)))
+    invalid = st.sampled_from([-1, -300, 3, 255, 256, 1000, 2**70])
+    assignment = data.draw(st.lists(st.integers(0, 2) | invalid, min_size=n, max_size=n))
+    at = data.draw(st.integers(0, n - 1))
+    assignment[at] = data.draw(invalid)
+    v = next(v for v, part in enumerate(assignment) if not 0 <= part < 3)
+    with pytest.raises(ValueError) as caught:
+        verify_assignment(g, pattern, assignment)
+    assert str(caught.value) == f"vertex {v} assigned to invalid part {assignment[v]}"
 
 
 @settings(max_examples=300, deadline=None)
@@ -1172,6 +1213,185 @@ def test_hub_f1_from_the_third_layer_matches_reference():
         assert cert.to_json() == ref_certify(g).to_json()
         count += 1
     assert count == 150
+
+
+def ref_forest_solve_one_bipartizer(g: Graph, hub: int) -> M1Certificate:
+    """The hub branch that walks the spokes and the outer vertices one at
+    a time and searches each spoke tree from its lowest vertex, then again
+    from its lowest attached spoke when that tree holds a fan (the only
+    change: ``bfs_layers`` takes the root as a bitset)."""
+    adj = g.adj
+    spoke_mask = adj[hub]
+    beyond = ~(spoke_mask | 1 << hub)
+    attach: dict[int, int] = {}
+    attach_mask = outer_mask = 0
+    for u in bits(spoke_mask):
+        pendant = adj[u] & beyond
+        if pendant:
+            attach[u] = lowest(pendant)
+            attach_mask |= 1 << u
+            outer_mask |= pendant
+    grown = crowded = 0  # crowded: non-zero if an outer vertex is not pendant
+    for v in bits(outer_mask):
+        grown |= adj[v]
+        crowded |= adj[v] & (adj[v] - 1)
+    deeper = grown & ~(spoke_mask | outer_mask)
+
+    if deeper:
+        x2, x3 = _tree_edge(g, [1 << hub, spoke_mask, outer_mask, deeper], 3)
+        x1 = lowest(g.adj[x2] & spoke_mask)
+        # every triangle is the hub and a spoke edge, and with the hub in
+        # each the first such edge gives the first triangle
+        edge = first_edge(g, spoke_mask & ~(1 << x1))
+        if edge is None:
+            raise RuntimeError("internal error: hub vertex is not the only bipartizer")
+        return _no(ObstructionKind("F1"), {hub, *edge, x2, x3})
+
+    # structure forced by chordality and the unique bipartizer: pendant
+    # outer vertices, so the outer layer is independent too
+    if crowded:
+        raise RuntimeError("internal error: outer vertices must be pendant")
+
+    edge = first_edge(g, attach_mask)
+    if edge:
+        # adjacent spokes both holding pendants: an F2 via the first third
+        # spoke clear of both, otherwise second neighbours on both sides
+        # give F4.  Without such a spoke the spoke forest is the stars of
+        # u and w joined by u-w: another spoke edge would close a K4 with
+        # the hub or a chordless four-cycle.
+        u, w = edge
+        pair = 1 << u | 1 << w
+        loose = spoke_mask & ~(g.adj[u] | g.adj[w] | pair)
+        if loose:
+            return _no(
+                ObstructionKind("F2"), {hub, u, w, lowest(loose), attach[u], attach[w]}
+            )
+        pu = g.adj[u] & spoke_mask & ~pair
+        pw = g.adj[w] & spoke_mask & ~pair
+        if not pu or not pw or first_edge(g, spoke_mask & ~pair):
+            raise RuntimeError("internal error: spoke forest structure violated")
+        return _no(
+            ObstructionKind("F4"),
+            {hub, u, w, attach[u], attach[w], lowest(pu), lowest(pw)},
+        )
+
+    # spoke trees: even depth from the root in part 1, odd depth and the
+    # outer (pendant) vertices in part 0.  g minus the hub is bipartite, so
+    # parity from the root is parity from the tree's lowest vertex, flipped
+    # if the root is odd.
+    part1 = 0
+    for comp, tree in forest(g, ~spoke_mask):
+        attached_here = comp & attach_mask
+        root = lowest(attached_here or comp)
+        odd = reduce(or_, tree[1::2], 0)
+        if odd >> root & 1:
+            odd = comp & ~odd
+        if attached_here & odd:
+            tree = bfs_layers(g, 1 << root, ~spoke_mask)
+            w = lowest(attached_here & odd)
+            d = next(d for d, layer in enumerate(tree) if layer >> w & 1)
+            if d < 3:
+                raise RuntimeError("internal error: adjacent pendant spokes missed")
+            wit = {hub, attach[root], attach[w], *tree_path(g, tree, w, d)}
+            return _no(fan_kind((d + 1) // 2), wit)
+        part1 |= comp & ~odd
+    return _yes(g.n, part1, 1 << hub)
+
+
+def spoke_tree(rng, kind):
+    """(size, edges, attached spokes, holds a fan) of one spoke tree in
+    local ids:
+    ``bare`` a random tree without pendants, ``even`` one with pendants on
+    some vertices of one colour class, ``fan`` a path of 2k spokes with
+    pendants on both ends (k from 2 to 6), and ``branching fan`` a random
+    tree with pendants on some vertices of one class and on one vertex x
+    of the other class that none of them is next to, so at odd distance
+    three or more from x."""
+    if kind == "fan":
+        k = rng.randrange(2, 7)
+        return 2 * k, [(i, i + 1) for i in range(2 * k - 1)], [0, 2 * k - 1], True
+    size = rng.randrange(1, 14) if kind != "branching fan" else rng.randrange(4, 14)
+    parent = [None] + [rng.randrange(i) for i in range(1, size)]
+    edges = [(parent[v], v) for v in range(1, size)]
+    colour = [0] * size
+    for v in range(1, size):
+        colour[v] = 1 - colour[parent[v]]
+    if kind == "bare":
+        return size, edges, [], False
+    side = rng.randrange(2)
+    cls = [v for v in range(size) if colour[v] == side]
+    if kind == "even":
+        return size, edges, rng.sample(cls, rng.randrange(0, len(cls) + 1)), False
+    others = [v for v in range(size) if colour[v] != side]
+    rng.shuffle(others)
+    for x in others:
+        near = {parent[x]} | {v for v in range(1, size) if parent[v] == x}
+        far = [v for v in cls if v not in near]
+        if far:
+            return size, edges, rng.sample(far, rng.randrange(1, len(far) + 1)) + [x], True
+    return size, edges, [], False
+
+
+def spoke_forest_host(rng, trees, isolated=0):
+    """A hub over the disjoint spoke trees ``trees`` (from ``spoke_tree``),
+    one pendant leaf on each attached spoke and ``isolated`` isolated
+    vertices, randomly labelled; returns the graph and its hub."""
+    edges, attached, n = [], [], 0
+    for size, tree_edges, pendants, _ in trees:
+        edges += [(n + u, n + v) for u, v in tree_edges]
+        attached += [n + u for u in pendants]
+        n += size
+    hub = n
+    edges += [(v, hub) for v in range(n)]
+    edges += [(u, hub + 1 + i) for i, u in enumerate(attached)]
+    perm = list(range(hub + 1 + len(attached) + isolated))
+    rng.shuffle(perm)
+    return Graph(len(perm), [(perm[u], perm[v]) for u, v in edges]), perm[hub]
+
+
+def hub_forest_hosts(rng, count):
+    """``count`` hub hosts of two to nine spoke trees: even-distance,
+    bare and fan trees (paths and branching) in random order, so zero to
+    three trees hold a fan, at any place in the order of lowest vertices,
+    beside zero to three isolated vertices; each tree set labelled three
+    ways.  Hosts whose triangles share a second vertex are skipped.
+    Yields each host, its hub and how many of its trees hold a fan."""
+    kinds = ["bare", "bare", "even", "even", "even", "even", "fan", "branching fan"]
+    made = 0
+    while made < count:
+        trees = [spoke_tree(rng, rng.choice(kinds)) for _ in range(rng.randrange(2, 10))]
+        isolated = rng.randrange(4)
+        for _ in range(3):
+            g, hub = spoke_forest_host(rng, trees, isolated)
+            if bipartizer_set(g) == {hub} and made < count:
+                made += 1
+                yield g, hub, sum(tree[3] for tree in trees)
+
+
+def test_hub_branch_matches_forest_reference():
+    # the first tree in order of lowest vertex that holds a fan is named,
+    # trees without a pendant are 2-coloured from their lowest vertex
+    named = Counter()
+    for g, hub, fans in hub_forest_hosts(random.Random(19), 600):
+        cert = solve_one_bipartizer(g, hub)
+        assert cert.to_json() == ref_forest_solve_one_bipartizer(g, hub).to_json()
+        assert verify_certificate(g, cert) is None
+        assert cert.decision == ("no" if fans else "yes")
+        named[min(fans, 2)] += 1
+    # hosts with no fan, one, and two or three
+    assert min(named.values()) > 120, named
+
+
+def test_fans_up_to_100_match_forest_reference():
+    # Fan(k) alone and beside other spoke trees, each labelled twice
+    rng = random.Random(100)
+    for k in range(2, 101):
+        fan_path = (2 * k, [(i, i + 1) for i in range(2 * k - 1)], [0, 2 * k - 1], True)
+        for trees in ([fan_path], [spoke_tree(rng, "even"), fan_path, spoke_tree(rng, "bare")]):
+            g, hub = spoke_forest_host(rng, trees, rng.randrange(3))
+            cert = solve_one_bipartizer(g, hub)
+            assert cert.witness[0] == fan_kind(k)
+            assert cert.to_json() == ref_forest_solve_one_bipartizer(g, hub).to_json()
 
 
 @settings(max_examples=200, deadline=None)
