@@ -26,7 +26,13 @@ simplicial vertex from a connected graph keeps it connected, so every
 connected chordal graph on k+1 vertices arises from one on k vertices by
 attaching a new vertex to a non-empty clique.  Swapping twins of the
 smaller graph is an automorphism, so the cliques that meet each of its
-twin classes in a prefix suffice.
+twin classes in a prefix suffice.  A child is labelled only if its new
+vertex is a least simplicial vertex by (degree, sorted neighbour
+degrees), ties kept: the pre-test of canonical augmentation (McKay 1998,
+"Isomorph-free exhaustive generation", J. Algorithms 26(2)).  Every class
+still arises: the canonical form of a graph minus a least such vertex is
+a parent, and growing it back makes that vertex the new one, which
+passes.
 """
 
 from __future__ import annotations
@@ -424,10 +430,64 @@ def _nonempty_cliques(g: Graph) -> Iterator[int]:
                 stack.append((clique | 1 << v, ext & adj[v] & ~((1 << (v + 1)) - 1)))
 
 
+def _simplicial(adj: tuple[int, ...]) -> int:
+    """The bitset of the vertices whose neighbourhood is a clique: each
+    neighbour sees all the others."""
+    return sum(1 << v for v, m in enumerate(adj)
+               if all(not m & ~adj[u] & ~(1 << u) for u in bits(m)))
+
+
+def _child_simplicial(adj: tuple[int, ...], simplicial: int, clique: int) -> int:
+    """The simplicial vertices of the child that attaches a new vertex x =
+    len(adj) to ``clique``, from the parent's ``simplicial``.  A vertex
+    outside the clique keeps its neighbourhood.  One inside gains x, so
+    its neighbourhood stays a clique iff it lies in the clique.  x sees the
+    clique only."""
+    kept = simplicial & ~clique
+    for v in bits(simplicial & clique):
+        if not adj[v] & ~clique:
+            kept |= 1 << v
+    return kept | 1 << len(adj)
+
+
+def _least_simplicial(adj: list[int], simplicial: int) -> bool:
+    """Whether no simplicial vertex of the graph ``adj`` has a smaller
+    invariant than its last vertex x.  The invariant is the degree, then
+    the sorted degrees of the neighbours; ties pass."""
+    degree = [m.bit_count() for m in adj]
+    x = len(adj) - 1
+    own = degree[x]
+    nbr_degrees = None
+    for v in bits(simplicial ^ 1 << x):
+        if degree[v] < own:
+            return False
+        if degree[v] == own:
+            if nbr_degrees is None:
+                nbr_degrees = sorted(map(degree.__getitem__, bits(adj[x])))
+            if sorted(map(degree.__getitem__, bits(adj[v]))) < nbr_degrees:
+                return False
+    return True
+
+
 def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
     """All connected chordal graphs with up to ``max_n`` vertices, one
     canonical representative per isomorphism class, in increasing order of
-    vertex count (canonical-key order within each count)."""
+    vertex count (canonical-key order within each count).
+
+    Each level grows the one before by a new vertex x on each twin-prefix
+    clique of each parent, and labels only the children in which x is a
+    least simplicial vertex by (degree, sorted neighbour degrees), ties
+    kept: the pre-test of canonical augmentation (McKay 1998,
+    "Isomorph-free exhaustive generation", J. Algorithms 26(2)).  No class
+    is lost.  Take a class C and a least-invariant simplicial vertex y of
+    C.  C - y is connected and chordal, so its canonical form P is a
+    parent.  An isomorphism from C - y onto P carries N(y) to a clique of
+    P, and twin swaps of P carry that onto a twin-prefix clique K; so P
+    plus x on K is isomorphic to C, with x sent to y.  Isomorphisms keep
+    simplicial vertices and the invariant, so x is least too and the
+    child is labelled.  The child's simplicial vertices come from the
+    parent's, found once per parent (`_child_simplicial`).
+    """
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise ValueError(f"max_n must lie in 1..{MAX_ENUMERATION_N}")
     level = {canonical_key(Graph(1)): Graph(1)}
@@ -437,11 +497,15 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
         grown: dict[str, Graph] = {}
         top = 1 << (n - 1)
         for parent in level.values():
+            adj = parent.adj
+            simplicial = _simplicial(adj)
             for clique in _nonempty_cliques(parent):
-                child = Graph._from_adj(
-                    [m | top if clique >> u & 1 else m
-                     for u, m in enumerate(parent.adj)] + [clique]
-                )
+                child_adj = [m | top if clique >> u & 1 else m
+                             for u, m in enumerate(adj)] + [clique]
+                child_simplicial = _child_simplicial(adj, simplicial, clique)
+                if not _least_simplicial(child_adj, child_simplicial):
+                    continue
+                child = Graph._from_adj(child_adj)
                 perm, cols = _canonical_columns(child)
                 key = _graph6_from_columns(n, cols[:0:-1])
                 if key not in grown:  # the canonical form only once per class

@@ -301,8 +301,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             )
     if args.verify:
         print(report.to_json())
-        _elapsed(started)
-        return report.exit_code
     if args.counts:
         print(
             json.dumps(
@@ -311,6 +309,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             ),
             file=sys.stderr,
         )
+    if args.verify:
+        _elapsed(started)
+        return report.exit_code
     return EXIT_YES
 
 

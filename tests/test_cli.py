@@ -454,6 +454,16 @@ def test_enumerate_counts_flag(capsys):
     assert json.loads(err.strip().splitlines()[-1]) == {"1": 1, "2": 1, "3": 2}
 
 
+def test_enumerate_verify_counts_flag(capsys):
+    # --counts adds the per-n counts to stderr; stdout is the plain report
+    code, out, err = run(capsys, "enumerate", "--max-n", "4", "--verify", "--counts")
+    _, plain, _ = run(capsys, "enumerate", "--max-n", "4", "--verify")
+    assert code == 0 and out == plain
+    lines = err.strip().splitlines()
+    assert json.loads(lines[0]) == {"1": 1, "2": 1, "3": 2, "4": 5}
+    assert lines[-1].startswith("wall-time: ")
+
+
 def test_random_single_trivial_trial(capsys):
     code, out, _ = run(capsys, "random", "--n", "1", "--trials", "1")
     assert code == 0

@@ -9,7 +9,8 @@ per need, and the colour/parent-list bipartiteness test, the dict-parent
 hole search, the pairwise hole check, the pattern order built with a pair
 scan per step, the catalogue scan that tried every fan with at most n
 vertices, the canonical labelling that tried every order of twins, the
-enumeration that attached a vertex to every clique, and the hub branch
+enumeration that attached a vertex to every clique and labelled every
+child, the simplicial vertices found pair by pair, and the hub branch
 that walked its spokes and outer vertices one at a time and searched
 each spoke tree from its lowest vertex.
 The library versions must return exactly the same orders, holes, first
@@ -64,10 +65,13 @@ from mpartition import (
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.chordal import (
     ChordalityCertificate,
+    _child_simplicial,
     _hole_through,
     _lex_bfs,
+    _least_simplicial,
     _nonempty_cliques,
     _refinement_classes,
+    _simplicial,
     canonical_form,
     canonical_labelling,
     verify_hole,
@@ -2165,6 +2169,59 @@ def test_twin_prefix_cliques_grow_every_child():
         assert len(set(pruned)) == len(pruned) and set(pruned) <= every
         assert ({canonical_key(c) for c in grown_children(g, pruned)}
                 == {canonical_key(c) for c in grown_children(g, every)})
+
+
+def ref_simplicial(g: Graph) -> int:
+    """The vertices whose neighbours are pairwise adjacent, as a bitset."""
+    return sum(1 << v for v in range(g.n)
+               if all(g.has_edge(a, b) for a, b in itertools.combinations(bits(g.adj[v]), 2)))
+
+
+def test_child_simplicial_matches_brute_force(corpus7):
+    # every (parent, clique) pair up to 7 vertices, every clique of each
+    pairs = [(g, clique) for g in corpus7 for clique in ref_nonempty_cliques(g)]
+    # random chordal hosts with random cliques: a clique grown greedily
+    # around a random vertex, then a random non-empty part of it
+    rng = random.Random(20)
+    for _ in range(300):
+        g = random_chordal(rng.randint(2, 40), rng.random(), rng.randrange(2**32))
+        clique = [rng.randrange(g.n)]
+        cand = g.adj[clique[0]]
+        while cand:
+            clique.append(rng.choice(list(bits(cand))))
+            cand &= g.adj[clique[-1]]
+        pairs.append((g, sum(1 << v for v in rng.sample(clique, rng.randint(1, len(clique))))))
+    assert len(pairs) > 3000
+    for g, clique in pairs:
+        simplicial = _simplicial(g.adj)
+        assert simplicial == ref_simplicial(g)
+        (child,) = grown_children(g, [clique])
+        assert _child_simplicial(g.adj, simplicial, clique) == ref_simplicial(child)
+
+
+def test_least_simplicial_children_reach_every_class():
+    # each level grows from every class of the level before, built here from
+    # every twin-prefix child; the children whose new vertex has the least
+    # invariant among the simplicial vertices must reach the same classes
+    level = [Graph(1)]
+    labelled = total = 0
+    for n in range(2, 9):
+        every: dict[str, Graph] = {}
+        kept: set[str] = set()
+        for g in level:
+            simplicial = _simplicial(g.adj)
+            cliques = list(_nonempty_cliques(g))
+            for clique, child in zip(cliques, grown_children(g, cliques)):
+                key = canonical_key(child)
+                every.setdefault(key, canonical_form(child))
+                child_simplicial = _child_simplicial(g.adj, simplicial, clique)
+                if _least_simplicial(list(child.adj), child_simplicial):
+                    kept.add(key)
+                    labelled += 1
+                total += 1
+        assert kept == set(every), n
+        level = list(every.values())
+    assert (labelled, total) == (2296, 5764)
 
 
 def test_canonical_keys_past_the_reference():
