@@ -263,12 +263,6 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
 
 # ---------------------------------------------------------------------------
 # canonical forms (permutation search with refinement pruning, n <= 9)
-#
-# Twins (vertices whose neighbourhoods agree apart from each other) are
-# placed in id order only.  Swapping twins is an automorphism, so this
-# keeps the least adjacency string, and k twins cost one order, not k!.
-# The search drops each prefix whose columns exceed the least leaf found so
-# far, and the canonical key is the graph6 encoding of that leaf's columns.
 # ---------------------------------------------------------------------------
 
 MAX_ENUMERATION_N = 9
@@ -314,22 +308,32 @@ def _lower_twins(adj: tuple[int, ...]) -> list[int]:
     return twin
 
 
-def _canonical_columns(g: Graph) -> tuple[list[int], list[int]]:
-    """The least colour-respecting order ``perm`` and its columns:
-    ``cols[i]`` has bit j set, for j < i, iff perm[j] and perm[i] are
-    adjacent.  The columns are those of g relabelled by perm, in graph6's
-    bit order."""
+def _canonical_columns(g: Graph) -> list[int]:
+    """The columns of the least colour-respecting order, in graph6's bit
+    order: ``cols[i]`` has bit j set, for j < i, iff the order's j-th and
+    i-th vertices are adjacent.  They are the canonical form's lower
+    triangle: the canonical key encodes them, and enumeration builds each
+    new class's graph from them (``_from_columns``).
+
+    Twins, two vertices a < b with ``adj[a]`` and ``adj[b]`` equal apart
+    from each other, share a refinement class, and the search places b
+    only after a.  Swapping twins is an automorphism, so swaps turn every
+    order into one with its twins in id order and the same columns: the
+    minimum over those orders is the minimum over all.  Once a leaf is
+    found below a prefix, the prefix's remaining extensions are compared
+    with it, and one whose next column is larger is dropped: all its
+    leaves are larger, so the least leaf stays.
+    """
     n = g.n
     if n == 0:
-        return [], []
+        return []
     adj = g.adj
     classes = _refinement_classes(g)
     slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
     available = [list(cls) for cls in classes]
     # twins share a refinement class; b may be placed once twin[b] is
     twin = _lower_twins(adj)
-    best_cols: list[int] | None = None
-    best_perm: list[int] | None = None
+    best: list[int] | None = None
     cols: list[int] = []
     perm: list[int] = []
 
@@ -337,11 +341,10 @@ def _canonical_columns(g: Graph) -> tuple[list[int], list[int]]:
         # equal: cols[:i] is the best leaf's prefix, else it is smaller.
         # Returns whether a new best leaf was found below; the prefix is
         # then the new best's, so the remaining siblings are compared.
-        nonlocal best_cols, best_perm
+        nonlocal best
         if i == n:
-            if best_cols is None or cols < best_cols:
-                best_cols = cols.copy()
-                best_perm = perm.copy()
+            if best is None or cols < best:
+                best = cols.copy()
                 return True
             return False
         found = False
@@ -352,12 +355,12 @@ def _canonical_columns(g: Graph) -> tuple[list[int], list[int]]:
             col = 0
             for j, u in enumerate(perm):
                 col |= (adj[u] >> v & 1) << j
-            if equal and best_cols is not None and col > best_cols[i]:
+            if equal and best is not None and col > best[i]:
                 continue
             available[cls].remove(v)
             perm.append(v)
             cols.append(col)
-            if search(i + 1, equal and (best_cols is None or col == best_cols[i])):
+            if search(i + 1, equal and (best is None or col == best[i])):
                 found = equal = True
             cols.pop()
             perm.pop()
@@ -365,43 +368,23 @@ def _canonical_columns(g: Graph) -> tuple[list[int], list[int]]:
         return found
 
     search(0, True)
-    assert best_perm is not None and best_cols is not None
-    return best_perm, best_cols
+    assert best is not None
+    return best
 
 
-def canonical_labelling(g: Graph) -> list[int]:
-    """Vertex order whose adjacency bitstring is lexicographically minimal
-    among all colour-respecting orders.  Isomorphic graphs map to the same
-    relabelled graph.
-
-    Twins, two vertices a < b with ``adj[a]`` and ``adj[b]`` equal apart
-    from each other, share a refinement class, and the search places b
-    only after a.  Swapping twins is an automorphism, so swaps turn every
-    order into one with its twins in id order and the same bitstring: the
-    minimum over those orders is the minimum over all.  Once a leaf is
-    found below a prefix, the prefix's remaining extensions are compared
-    with it, and one whose next column is larger is dropped: all its
-    leaves are larger, so the first least leaf in search order stays.
-    """
-    return _canonical_columns(g)[0]
-
-
-def _relabelled(g: Graph, perm: list[int]) -> Graph:
-    """g with vertex perm[i] renamed i."""
-    bit = [0] * g.n
-    for i, v in enumerate(perm):
-        bit[v] = 1 << i
-    return Graph._from_adj(sum(bit[w] for w in bits(g.adj[v])) for v in perm)
-
-
-def canonical_form(g: Graph) -> Graph:
-    """Canonically relabelled copy of g."""
-    return _relabelled(g, canonical_labelling(g))
+def _from_columns(cols: list[int]) -> Graph:
+    """The graph whose lower-triangle columns are ``cols``: bit j of
+    ``cols[i]``, for j < i, is the edge j-i."""
+    adj = cols.copy()
+    for i, col in enumerate(cols):
+        for j in bits(col):
+            adj[j] |= 1 << i
+    return Graph._from_adj(adj)
 
 
 def canonical_key(g: Graph) -> str:
     """Canonical graph6 string: equal iff the graphs are isomorphic."""
-    return _graph6_from_columns(g.n, _canonical_columns(g)[1][:0:-1])
+    return _graph6_from_columns(g.n, _canonical_columns(g)[:0:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +489,10 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
                 if not _least_simplicial(child_adj, child_simplicial):
                     continue
                 child = Graph._from_adj(child_adj)
-                perm, cols = _canonical_columns(child)
+                cols = _canonical_columns(child)
                 key = _graph6_from_columns(n, cols[:0:-1])
                 if key not in grown:  # the canonical form only once per class
-                    grown[key] = _relabelled(child, perm)
+                    grown[key] = _from_columns(cols)
         for key in sorted(grown):
             yield grown[key]
         level = grown
@@ -518,9 +501,7 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
 __all__ = [
     "ChordalityCertificate",
     "MAX_ENUMERATION_N",
-    "canonical_form",
     "canonical_key",
-    "canonical_labelling",
     "enumerate_connected_chordal",
     "is_chordal",
     "random_chordal",

@@ -321,6 +321,8 @@ def cmd_random(args: argparse.Namespace) -> int:
         raise _InputError(f"--n must lie in 1..{MAX_VERTICES}, got {args.n}")
     if not 0.0 <= args.attach_bias <= 1.0:
         raise _InputError(f"--attach-bias must lie in [0, 1], got {args.attach_bias}")
+    if args.trials < 1:  # a batch that checks nothing must not pass
+        raise _InputError(f"--trials must be at least 1, got {args.trials}")
     report = RunReport(command="random")
     started = time.monotonic()
     for trial in range(args.trials):

@@ -9,8 +9,9 @@ lists, DOT), the small-pattern search primitive (induced subgraph
 embedding) and the one breadth-first search of the package:
 ``bfs_layers`` returns the layers around a set of sources as bitsets, and
 a vertex's tree parent is its lowest neighbour in the previous layer
-(``tree_path``).  Components, depth-parity colourings, edges inside a
-layer and the odd cycles they close are all read off those layers.
+(``tree_path``), and ``forest`` runs it once per component.  Components,
+depth-parity colourings, edges inside a layer and the odd cycles they
+close are all read off those layers.
 ``selector`` spreads a set to one byte per vertex, so that
 ``itertools.compress`` picks its neighbourhoods out of ``adj`` in C.
 """
@@ -458,21 +459,6 @@ def forest(g: Graph, removed: int = 0) -> Iterator[tuple[int, list[int]]]:
         yield comp, layers
 
 
-def _layer_edges(g: Graph, removed: int = 0) -> Iterator[tuple[list[int], tuple | None]]:
-    """Each component's ``layers`` in g minus the bitset ``removed``, with
-    the first edge (u, w) inside the first of them that has one, layer d,
-    as (u, w, d), or None."""
-    for _, layers in forest(g, removed):
-        edges = ((first_edge(g, layer), d) for d, layer in enumerate(layers))
-        yield layers, next(((*edge, d) for edge, d in edges if edge), None)
-
-
-def layer_edge(g: Graph, removed: int = 0) -> tuple[int, int, int] | None:
-    """The first edge ``(u, w, d)`` of :func:`_layer_edges`; None if there
-    is none, that is, if g minus ``removed`` is bipartite."""
-    return next((edge for _, edge in _layer_edges(g, removed) if edge), None)
-
-
 @dataclass(frozen=True)
 class BipartitenessCertificate:
     """Either a proper 2-colouring or an odd cycle (never both)."""
@@ -485,26 +471,24 @@ class BipartitenessCertificate:
 
 
 def is_bipartite(g: Graph) -> BipartitenessCertificate:
-    """2-colour g by depth parity, or return an odd cycle: a layer edge
-    (u, w), first and last on the cycle, closed by the tree paths of u and
-    w up to their lowest common ancestor.  One walk of the components."""
+    """2-colour g by depth parity, or return an odd cycle: the first edge
+    (u, w) inside a layer of the first component that has one, first and
+    last on the cycle, closed by the tree paths of u and w up to their
+    lowest common ancestor.  One walk of the components."""
     odd = 0
-    for layers, edge in _layer_edges(g):
-        if edge:  # the tree paths of its two ends u, w from layer d
-            pu, pw = (tree_path(g, layers, v, edge[2]) for v in edge[:2])
-            top = next(i for i in range(1, len(pu)) if pu[i] == pw[i])
-            return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
+    for _, layers in forest(g):
+        for d, layer in enumerate(layers):
+            edge = first_edge(g, layer)
+            if edge:  # the tree paths of its two ends from layer d
+                pu, pw = (tree_path(g, layers, v, d) for v in edge)
+                top = next(i for i in range(1, len(pu)) if pu[i] == pw[i])
+                return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
         odd = reduce(or_, layers[1::2], odd)
     # bit v of the bitset is v's colour; one format call keeps it linear
     colours = format(odd | 1 << g.n, "b")[:0:-1]
     return BipartitenessCertificate(tuple(map(int, colours)), None)
 
 
-def component_masks(g: Graph) -> list[int]:
-    """Connected components as bitsets, ordered by smallest vertex."""
-    return [comp for comp, _ in forest(g)]
-
-
 def components(g: Graph) -> list[VertexSet]:
     """Connected components ordered by their smallest vertex."""
-    return [frozenset(bits(comp)) for comp in component_masks(g)]
+    return [frozenset(bits(comp)) for comp, _ in forest(g)]

@@ -34,6 +34,8 @@ class Pattern:
 
     def __post_init__(self) -> None:
         m = len(self.cells)
+        if not m:
+            raise ValueError("pattern matrix has no rows")
         for row in self.cells:
             if len(row) != m:
                 raise ValueError("pattern matrix must be square")

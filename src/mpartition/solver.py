@@ -52,7 +52,6 @@ from .graph import (
     induced,
     is_bipartite,
     is_isomorphic,
-    layer_edge,
     lowest,
     selector,
     tree_path,
@@ -181,19 +180,22 @@ def bipartizer_set(g: Graph) -> VertexSet:
     """All vertices whose removal leaves a bipartite graph.
 
     Matches the per-vertex definition exactly.  A bipartizer lies on
-    every odd cycle, so when the ends of an edge inside a layer have a
-    common neighbour only that triangle is tested.  On a chordal host
-    they always have one: otherwise a shortest path between their
-    neighbourhoods in the earlier layers would close a hole.  Other
-    non-bipartite hosts test the vertices of one odd cycle.
+    every odd cycle, so the candidates are the vertices of the one that
+    ``is_bipartite`` returns, or only the triangle on its first and last
+    vertices, an edge inside a layer, if they have a common neighbour.  On
+    a chordal host they always have one: otherwise a shortest path between
+    their neighbourhoods in the earlier layers would close a hole.  Each
+    g - v is tested for an edge inside a layer, as ``is_bipartite`` does.
     """
-    edge = layer_edge(g)
-    if edge is None:
+    cycle = is_bipartite(g).odd_cycle
+    if cycle is None:
         return frozenset(range(g.n))
-    u, w = edge[:2]
+    u, w = cycle[0], cycle[-1]
     common = g.adj[u] & g.adj[w]
-    candidates = (u, w, lowest(common)) if common else is_bipartite(g).odd_cycle
-    return frozenset(v for v in candidates if layer_edge(g, 1 << v) is None)
+    candidates = (u, w, lowest(common)) if common else cycle
+    return frozenset(v for v in candidates
+                     if not any(first_edge(g, layer)
+                                for _, layers in forest(g, 1 << v) for layer in layers))
 
 
 def _tree_edge(g: Graph, layers: list[int], d: int) -> tuple[int, int]:

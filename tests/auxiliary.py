@@ -8,8 +8,8 @@ unions, and the two graph predicates that only tests need: connectivity
 and (not necessarily induced) subgraph containment.
 """
 
-from mpartition import Graph
-from mpartition.graph import _pattern_order, bits, component_masks
+from mpartition import Graph, components
+from mpartition.graph import _pattern_order, bits
 
 AUXILIARY_EDGE_LISTS = {
     # two disjoint triangles
@@ -47,7 +47,7 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(component_masks(g)) == 1
+    return g.n == 0 or len(components(g)) == 1
 
 
 def contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:

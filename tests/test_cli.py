@@ -336,6 +336,8 @@ def test_random_validate_deterministic(capsys):
          "--attach-bias must lie in [0, 1], got -0.5"),
         (["--n", "10", "--attach-bias", "nan"],
          "--attach-bias must lie in [0, 1], got nan"),
+        (["--n", "10", "--trials", "0"], "--trials must be at least 1, got 0"),
+        (["--n", "10", "--trials", "-3"], "--trials must be at least 1, got -3"),
     ],
 )
 def test_random_rejects_bad_arguments_before_generating(
@@ -481,6 +483,12 @@ def test_solve_with_other_patterns(tmp_path, capsys):
     bad.write_text("**\n**\n")
     code, _, err = run(capsys, "solve", gpath, "--pattern", str(bad))
     assert code == 2 and "trivial" in err
+    # a pattern with no rows would answer "no" on every non-empty graph
+    # and "yes" with no parts on the empty one
+    bad.write_text("\n")
+    for path in (gpath, write_graph6(tmp_path, path_graph(0), "empty.g6")):
+        code, out, err = run(capsys, "solve", path, "--pattern", str(bad))
+        assert (code, out, err) == (2, "", "error: pattern matrix has no rows\n")
 
 
 def test_convert_formats(tmp_path, capsys):

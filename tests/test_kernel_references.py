@@ -44,6 +44,7 @@ from mpartition import (
     VertexSet,
     bipartizer_set,
     canonical_key,
+    components,
     contains_induced,
     enumerate_connected_chordal,
     fan,
@@ -65,15 +66,15 @@ from mpartition import (
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
 from mpartition.chordal import (
     ChordalityCertificate,
+    _canonical_columns,
     _child_simplicial,
+    _from_columns,
     _hole_through,
     _lex_bfs,
     _least_simplicial,
     _nonempty_cliques,
     _refinement_classes,
     _simplicial,
-    canonical_form,
-    canonical_labelling,
     verify_hole,
 )
 from mpartition.graph import (
@@ -81,7 +82,6 @@ from mpartition.graph import (
     _pattern_order,
     bfs_layers,
     bits,
-    component_masks,
     first_edge,
     forest,
     lowest,
@@ -1008,7 +1008,7 @@ def ref_certify(g: Graph) -> M1Certificate:
     bip = ref_is_bipartite(g)
     if bip:
         return ref_yes(list(bip.colouring))
-    comps = component_masks(g)
+    comps = [comp for comp, _ in forest(g)]
     if len(comps) == 1:
         return ref_certify_connected(g)
     tri = ref_find_triangle(g)
@@ -1625,7 +1625,7 @@ def check_traversals(g):
     # by the certificate of a chordal one
     nxg = nx_graph(g)
     comps = sorted((sorted(c) for c in nx.connected_components(nxg)), key=min)
-    assert component_masks(g) == [sum(1 << v for v in c) for c in comps]
+    assert components(g) == [frozenset(c) for c in comps]
     facts = nx_depth_facts(g)
     assert _lex_bfs(g)[3:] == facts
     cert = is_chordal(g)
@@ -2062,10 +2062,8 @@ def reference_orders(g: Graph) -> int:
 def check_canonical(g: Graph) -> None:
     assert _refinement_classes(g) == ref_refinement_classes(g)
     assert canonical_key(g) == ref_canonical_key(g)
-    # the key is encoded from the search's columns, not from canonical_form
-    assert canonical_key(g) == to_graph6(canonical_form(g))
-    if not has_twins(g):  # the search is the reference's
-        assert canonical_labelling(g) == ref_canonical_labelling(g)
+    # the graph built from the search's columns is the key's graph
+    assert to_graph6(_from_columns(_canonical_columns(g))) == canonical_key(g)
 
 
 def test_canonical_key_matches_reference_on_relabelled_corpus(corpus8):
@@ -2213,7 +2211,7 @@ def test_least_simplicial_children_reach_every_class():
             cliques = list(_nonempty_cliques(g))
             for clique, child in zip(cliques, grown_children(g, cliques)):
                 key = canonical_key(child)
-                every.setdefault(key, canonical_form(child))
+                every.setdefault(key, from_graph6(key))
                 child_simplicial = _child_simplicial(g.adj, simplicial, clique)
                 if _least_simplicial(list(child.adj), child_simplicial):
                     kept.add(key)
@@ -2236,7 +2234,7 @@ def test_canonical_keys_past_the_reference():
     pool = hosts + [relabelled(g, rng) for g in hosts]
     keys = [canonical_key(g) for g in pool]
     for g, key in zip(pool, keys):
-        assert to_graph6(canonical_form(g)) == key
+        assert to_graph6(_from_columns(_canonical_columns(g))) == key
         for _ in range(3):
             assert canonical_key(relabelled(g, rng)) == key
     nxs = [nx_graph(g) for g in pool]
@@ -2257,7 +2255,7 @@ def test_twin_heavy_graphs_past_the_reference_canonicalise():
     rng = random.Random(6)
     for g in (star_graph(12), complete_multipartite((6, 6)),
               complete_multipartite((4, 4, 4))):
-        canon = canonical_form(g)
+        canon = from_graph6(canonical_key(g))
         assert nx.is_isomorphic(nx_graph(canon), nx_graph(g))
         for _ in range(5):
-            assert canonical_form(relabelled(g, rng)) == canon
+            assert from_graph6(canonical_key(relabelled(g, rng))) == canon

@@ -45,6 +45,9 @@ def test_malformed_patterns_rejected():
         Pattern.parse("01\n00")      # not symmetric
     with pytest.raises(ValueError):
         Pattern.parse("0x\nx0")      # bad cell
+    for text in ("", "\n", "  \n \t\n"):  # no rows
+        with pytest.raises(ValueError, match="no rows"):
+            Pattern.parse(text)
 
 
 # -- verification ------------------------------------------------------------
