@@ -67,15 +67,12 @@ class _InputError(Exception):
 
 def _reader(read):
     """``read``, raising its ValueError or OSError (or the RecursionError
-    of too deeply nested JSON, or the MemoryError of an input too large to
-    hold) as an input error."""
+    of too deeply nested JSON) as an input error."""
 
     @functools.wraps(read)
     def checked(*args):
         try:
             return read(*args)
-        except MemoryError as exc:
-            raise _InputError("input too large for the available memory") from exc
         except (ValueError, OSError, RecursionError) as exc:
             raise _InputError(exc) from exc
 
@@ -480,6 +477,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except MemoryError:  # an input, or a --n, too large to hold
+        print("error: input too large for the available memory", file=sys.stderr)
         return EXIT_ERROR
     except BrokenPipeError:
         # the reader is gone: send what is still buffered to devnull, so

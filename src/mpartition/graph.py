@@ -484,9 +484,7 @@ def is_bipartite(g: Graph) -> BipartitenessCertificate:
                 top = next(i for i in range(1, len(pu)) if pu[i] == pw[i])
                 return BipartitenessCertificate(None, tuple(pu[:top + 1] + pw[top - 1::-1]))
         odd = reduce(or_, layers[1::2], odd)
-    # bit v of the bitset is v's colour; one format call keeps it linear
-    colours = format(odd | 1 << g.n, "b")[:0:-1]
-    return BipartitenessCertificate(tuple(map(int, colours)), None)
+    return BipartitenessCertificate(tuple(selector(g.n, odd)), None)
 
 
 def components(g: Graph) -> list[VertexSet]:

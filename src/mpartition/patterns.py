@@ -7,8 +7,12 @@ cells therefore force a part to be a clique (1) or an independent set (0).
 Star diagonals are rejected at construction: a part without restrictions
 could swallow the whole graph, making every instance trivially solvable.
 
-``solve`` is an exhaustive backtracking solver meant as a ground-truth
-oracle at small scale, not a decision procedure for large inputs.
+``verify_assignment`` and ``solve``, an exhaustive backtracking oracle
+for small graphs, work on demand masks (``_demands``): per part, the
+vertices its members must see (those of the parts in its row's 1 cells)
+and must miss (its 0 cells).  The verifier's scan and the search share
+one test: vertex v fits part i iff ``must_see[i] & ~adj[v]`` and
+``must_miss[i] & adj[v]`` are both empty.
 """
 
 from __future__ import annotations
@@ -165,45 +169,36 @@ def solve(g: Graph, pattern: Pattern) -> Assignment | None:
     """Exhaustive search for a satisfying partition; None means none exists.
 
     Vertices are assigned in descending-degree order (id breaks ties) and
-    parts are tried in index order, so results are deterministic.  A
-    returned assignment always verifies.
+    parts are tried in index order, so results are deterministic.  The
+    search keeps the demand masks of the vertices placed so far, and v may
+    join part i only by the scan's test, so a returned assignment always
+    verifies.  Placing v in part i XORs v into the demands of the parts in
+    row i's 1 and 0 cells; backtracking XORs it out.
     """
     n = g.n
-    m = pattern.m
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    part_masks = [0] * m
+    must_see, must_miss = [0] * pattern.m, [0] * pattern.m
     assignment = [0] * n
-    # per candidate part: which parts must lie inside / outside N(v)
-    ones = [
-        [j for j in range(m) if pattern.cells[i][j] == ONE] for i in range(m)
-    ]
-    zeros = [
-        [j for j in range(m) if pattern.cells[i][j] == ZERO] for i in range(m)
-    ]
+    # per part i: the masks a member of i enters, must_see[j] for each 1
+    # cell (i, j) and must_miss[j] for each 0 cell
+    flips = [[(must_see if c == ONE else must_miss, j)
+              for j, c in enumerate(row) if c != STAR] for row in pattern.cells]
 
     def place(step: int) -> bool:
         if step == n:
             return True
         v = order[step]
-        nb = g.adj[v]
-        for i in range(m):
-            ok = True
-            for j in ones[i]:
-                if part_masks[j] & ~nb:
-                    ok = False
-                    break
-            if ok:
-                for j in zeros[i]:
-                    if part_masks[j] & nb:
-                        ok = False
-                        break
-            if not ok:
+        nb, bit = g.adj[v], 1 << v
+        for i, flip in enumerate(flips):
+            if must_see[i] & ~nb or must_miss[i] & nb:
                 continue
-            part_masks[i] |= 1 << v
+            for demand, j in flip:
+                demand[j] ^= bit
             assignment[v] = i
             if place(step + 1):
                 return True
-            part_masks[i] &= ~(1 << v)
+            for demand, j in flip:
+                demand[j] ^= bit
         return False
 
     if place(0):

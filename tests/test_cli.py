@@ -86,6 +86,19 @@ def test_check_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_random_out_of_memory_is_an_input_error(capsys, monkeypatch):
+    # a --n under the cap can still need more memory than the process may
+    # take, and that MemoryError is raised outside the readers
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("mpartition.cli.random_chordal", exhausted)
+    code, out, err = run(capsys, "random", "--n", "258047", "--trials", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_verify_round_trip(tmp_path, capsys):
     gpath = write_graph6(tmp_path, fan(2))
     code, out, _ = run(capsys, "check", gpath)
@@ -167,6 +180,46 @@ def test_verify_rejects_duplicated_witness_vertex(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(gpath), str(cert))
     assert code == 1
     assert json.loads(out) == {"valid": False, "reason": "duplicated witness vertex 0"}
+
+
+@pytest.fixture()
+def path4_path(tmp_path):
+    path = tmp_path / "p4.g6"
+    path.write_text("Ch\n")  # the path 0-1-2-3
+    return str(path)
+
+
+def test_verify_yes_certificate_of_check(tmp_path, capsys, path4_path):
+    code, out, _ = run(capsys, "check", path4_path)
+    assert code == 0 and json.loads(out)["decision"] == "yes"
+    cert = tmp_path / "cert.json"
+    cert.write_text(out)
+    code, out, _ = run(capsys, "verify", path4_path, str(cert))
+    assert code == 0
+    assert json.loads(out) == {"valid": True, "reason": None}
+
+
+@pytest.mark.parametrize(
+    "parts, reason",
+    [
+        ([[0, 0, 2], [1, 3], []], "bad or duplicated vertex 0 in parts"),
+        ([[0, 2], [1, 3, 0], []], "bad or duplicated vertex 0 in parts"),
+        ([[0, 2, 4], [1, 3], []], "bad or duplicated vertex 4 in parts"),
+        ([[0, 2], [1], []], "parts do not cover every vertex"),
+        ([[0, 1], [2], [3]],
+         "vertices 0 (part 0) and 1 (part 0) must be non-adjacent"),
+        ([[0, 2], [1], [3]],
+         "vertices 1 (part 1) and 3 (part 2) must be adjacent"),
+    ],
+    ids=["repeated", "repeated-across-parts", "out-of-range", "uncovered",
+         "edge-in-part", "missing-join"],
+)
+def test_verify_rejects_bad_yes_parts(tmp_path, capsys, path4_path, parts, reason):
+    cert = tmp_path / "cert.json"
+    cert.write_text(json.dumps({"decision": "yes", "parts": parts, "witness": None}))
+    code, out, _ = run(capsys, "verify", path4_path, str(cert))
+    assert code == 1
+    assert json.loads(out) == {"valid": False, "reason": reason}
 
 
 _json_leaves = st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | st.text(max_size=4)

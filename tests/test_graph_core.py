@@ -118,6 +118,11 @@ def test_graph6_long_form():
         assert from_graph6(s) == g
 
 
+def test_graph6_encoding_refuses_past_the_limit():
+    with pytest.raises(ValueError, match="only for n <= 258047"):
+        to_graph6(Graph(258048))
+
+
 LONG_63 = "~??~"  # long-form header of a 63-vertex graph: 326 field bytes
 
 

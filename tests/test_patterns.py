@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -71,6 +72,16 @@ def test_verify_rejects_missing_complete_adjacency():
     assert violation is not None and violation.cell == "1"
 
 
+def test_verify_wide_pattern_scans_for_the_first_pair():
+    # past 256 parts the whole-part check gives way to the scan
+    cells = [["0" if i == j else "*" for j in range(300)] for i in range(300)]
+    cells[0][299] = cells[299][0] = "1"
+    wide = Pattern(tuple(map(tuple, cells)))
+    assert verify_assignment(complete_graph(3), wide, (0, 150, 299)) is None
+    violation = verify_assignment(Graph(3, [(0, 1), (1, 2)]), wide, (0, 150, 299))
+    assert str(violation) == "vertices 0 (part 0) and 2 (part 299) must be adjacent"
+
+
 def test_verify_argument_errors():
     with pytest.raises(ValueError):
         verify_assignment(complete_graph(2), M1, (0,))
@@ -105,6 +116,18 @@ def test_solutions_always_verify():
         assignment = solve(g, M1)
         if assignment is not None:
             assert verify_assignment(g, M1, assignment) is None
+
+
+def test_oracle_answers_are_pinned(corpus8):
+    # every answer, byte for byte, under three patterns; check --force-oracle
+    # prints these parts
+    digest, count = hashlib.sha256(), 0
+    for pattern in (M1, Pattern.parse("0**\n*01\n*11"), Pattern.parse("1*0\n*01\n011")):
+        for g in corpus8:
+            digest.update(repr(solve(g, pattern)).encode() + b"\n")
+            count += 1
+    assert (count, digest.hexdigest()) == (
+        5904, "b8390d56268473c21f67a9789b636b37dd44877898b4c4b79f86280732737057")
 
 
 def test_solve_empty_graph():
@@ -147,3 +170,4 @@ def test_colouring_pattern_matches_chromatic_bound():
 def test_k4_is_minimal_k5_is_not():
     assert is_minimal_obstruction(complete_graph(4), M1)
     assert not is_minimal_obstruction(complete_graph(5), M1)
+    assert not is_minimal_obstruction(cycle_graph(4), M1)  # partitionable

@@ -283,6 +283,20 @@ def test_verify_certificate_rejects_tampering():
     assert verify_certificate(k4, wrong_kind) is not None
 
 
+def test_verify_certificate_rejects_malformed_certificates():
+    g = path_graph(4)
+    one_of = "certificate must carry exactly one of assignment/witness"
+    assert verify_certificate(g, M1Certificate(None, None)) == one_of
+    both = M1Certificate((0, 1, 0, 1), (fan_kind(2), frozenset(range(4))))
+    assert verify_certificate(g, both) == one_of
+    short = M1Certificate((0, 1, 0), None)
+    assert verify_certificate(g, short) == "assignment covers 3 of 4 vertices"
+    invalid = M1Certificate((0, 1, 0, 3), None)
+    assert verify_certificate(g, invalid) == "vertex 3 assigned to invalid part 3"
+    outside = M1Certificate(None, (ObstructionKind("F7"), frozenset({0, 1, 2, 4})))
+    assert verify_certificate(g, outside) == "witness vertices out of range"
+
+
 def test_verify_certificate_accepts_only_minimal_kinds():
     for kind in [ObstructionKind(t) for t in FINITE_MINIMAL_TAGS] + [fan_kind(3)]:
         g = obstruction_graph(kind)
