@@ -8,9 +8,10 @@ Star diagonals are rejected at construction: a part without restrictions
 could swallow the whole graph, making every instance trivially solvable.
 
 ``verify_assignment`` and ``solve``, an exhaustive backtracking oracle
-for small graphs, work on demand masks (``_demands``): per part, the
-vertices its members must see (those of the parts in its row's 1 cells)
-and must miss (its 0 cells).  The verifier's scan and the search share
+for small graphs, work on demand masks: per part, the vertices its
+members must see (those of the parts in its row's 1 cells) and must miss
+(its 0 cells).  The verifier decides by checking each part whole; its
+scan, which only names the first violating pair, and the search share
 one test: vertex v fits part i iff ``must_see[i] & ~adj[v]`` and
 ``must_miss[i] & adj[v]`` are both empty.
 """
@@ -98,23 +99,15 @@ def verify_assignment(
     """None if the assignment satisfies the pattern, else the first violation.
 
     The assignment must place every vertex in a valid part; parts may be
-    empty.  Each part is checked whole: the union of its members'
-    neighbourhoods must miss each part of a 0 cell in its row, and their
-    intersection must cover each other part of a 1 cell; a 1 on the
-    diagonal is checked by counting the edges inside the part.  Only a
-    failed check scans the vertices, to name the first violating pair.
+    empty.  ``_unmet_demands`` builds the masks once and decides at every
+    pattern width; the scan only names the first violating pair.
     """
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
-    if _parts_hold(g, pattern, assignment):
+    demands = _unmet_demands(g, pattern, assignment)
+    if demands is None:
         return None
-    m = pattern.m
-    part_masks = [0] * m
-    for v, part in enumerate(assignment):
-        if not 0 <= part < m:
-            raise ValueError(f"vertex {v} assigned to invalid part {part}")
-        part_masks[part] |= 1 << v
-    must_see, must_miss = _demands(pattern, part_masks)  # scan for the first pair
+    must_see, must_miss = demands
     for u, i in enumerate(assignment):
         nb = g.adj[u]
         bad = (must_see[i] & ~nb | must_miss[i] & nb) >> (u + 1)
@@ -122,47 +115,53 @@ def verify_assignment(
             v = u + (bad & -bad).bit_length()
             j = assignment[v]
             return PartitionViolation(u, v, i, j, pattern.cells[i][j])
-    return None
+    raise RuntimeError("internal error: a part fails but no pair violates it")
 
 
-def _parts_hold(g: Graph, pattern: Pattern, assignment: Sequence[int]) -> bool:
-    """Does every part meet its row of the pattern?  False also on an invalid
-    part or a pattern wider than a byte, which ``verify_assignment``'s scan
-    then reports or decides."""
-    try:
-        parts = bytes(assignment)
-    except (TypeError, ValueError):  # a part outside range(256)
-        return False
+def _unmet_demands(
+    g: Graph, pattern: Pattern, assignment: Sequence[int]
+) -> tuple[list[int], list[int]] | None:
+    """None if every part meets its row of the pattern, else the demand
+    masks: per part, the vertices its members must see, and must miss.
+
+    The part masks are read off the assignment's bytes when every part
+    fits in one, else vertex by vertex, raising for the first vertex in an
+    invalid part.  Each part is checked whole: the union of its members'
+    neighbourhoods must miss each part of a 0 cell in its row, and their
+    intersection must cover each other part of a 1 cell; a 1 on the
+    diagonal is checked by counting the edges inside the part.
+    """
     m = pattern.m
-    if m > 256 or parts and max(parts) >= m:
-        return False
-    digits = parts[::-1]
-    masks = [int(b"0" + digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2)
-             for i in range(m)]
-    for i, (see, miss) in enumerate(zip(*_demands(pattern, masks))):
-        own = masks[i]
-        members = list(compress(g.adj, selector(g.n, own)))
-        if miss & reduce(or_, members, 0) or see & ~own & ~reduce(and_, members, -1):
-            return False
-        if see & own:  # a clique: each of its k members sees the other k - 1
-            k = len(members)
-            if sum(map(int.bit_count, map(and_, members, repeat(own)))) != k * (k - 1):
-                return False
-    return True
-
-
-def _demands(pattern: Pattern, masks: list[int]) -> tuple[list[int], list[int]]:
-    """Per part, given each part's bitset: the vertices its members must
-    see, and must miss."""
-    must_see = [0] * pattern.m
-    must_miss = [0] * pattern.m
+    try:
+        digits = bytes(assignment)[::-1]
+    except (TypeError, ValueError):  # a part outside range(256)
+        digits = None
+    if digits is not None and max(digits, default=0) < m:
+        # no vertex is in a part past the byte, so those parts are empty
+        masks = [int(b"0" + digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2)
+                 for i in range(min(m, 256))] + [0] * (m - 256)
+    else:
+        masks = [0] * m
+        for v, part in enumerate(assignment):
+            if not 0 <= part < m:
+                raise ValueError(f"vertex {v} assigned to invalid part {part}")
+            masks[part] |= 1 << v
+    must_see, must_miss = [0] * m, [0] * m
     for i, row in enumerate(pattern.cells):
         for j, cell in enumerate(row):
             if cell == ONE:
                 must_see[i] |= masks[j]
             elif cell == ZERO:
                 must_miss[i] |= masks[j]
-    return must_see, must_miss
+    for see, miss, own in zip(must_see, must_miss, masks):
+        members = list(compress(g.adj, selector(g.n, own)))
+        if miss & reduce(or_, members, 0) or see & ~own & ~reduce(and_, members, -1):
+            return must_see, must_miss
+        if see & own:  # a clique: each of its k members sees the other k - 1
+            k = len(members)
+            if sum(map(int.bit_count, map(and_, members, repeat(own)))) != k * (k - 1):
+                return must_see, must_miss
+    return None
 
 
 def solve(g: Graph, pattern: Pattern) -> Assignment | None:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from operator import and_, or_
 
 from .catalogue import ObstructionKind, catalogue_graph, fan_kind, obstruction_size
@@ -308,9 +308,9 @@ def _shared_edge(g: Graph, v1: int, v2: int, apex_mask: int) -> M1Certificate:
 
     t1 = bfs_layers(g, 1 << v1, apex_mask | 1 << v2)
     t2 = bfs_layers(g, 1 << v2, apex_mask | 1 << v1)
-    trees = [*apex_trees.values(), t1, t2]
-    covered = reduce(or_, (layer for layers in trees for layer in layers))
-    if any(g.adj[v] for v in bits(((1 << g.n) - 1) & ~covered)):
+    covered = reduce(or_, chain(*apex_trees.values(), t1, t2))
+    rest = ((1 << g.n) - 1) & ~covered
+    if rest and any(compress(g.adj, selector(g.n, rest))):
         raise RuntimeError("internal error: shared-edge trees do not cover the graph")
     h1, h2 = len(t1) - 1, len(t2) - 1
 
@@ -449,10 +449,10 @@ def _certify(g: Graph, chordality: ChordalityCertificate) -> M1Certificate:
         return _yes(g.n, chordality.odd)
     if chordality.edge_components > 1:
         tri = _first_clique(cliques, 3)
-        comp = reduce(or_, bfs_layers(g, 1 << tri[0]))
-        # the lowest vertex outside the triangle's component with an edge
-        # starts the first other component that has one
-        edge = first_edge(g, ((1 << g.n) - 1) & ~comp)
+        # outside the triangle's component, the lowest vertex with an edge
+        # (all found in one pass) starts the first other component with one
+        rest = ((1 << g.n) - 1) & ~reduce(or_, bfs_layers(g, 1 << tri[0]))
+        edge = first_edge(g, reduce(or_, compress(g.adj, selector(g.n, rest)), 0) & rest)
         if edge:
             return _no(ObstructionKind("F1"), {*tri, *edge})
     # any other component is an isolated vertex: the cases leave it in part 0

@@ -96,7 +96,7 @@ from mpartition.solver import (
     _triangle_witness,
     _yes,
 )
-from mpartition.patterns import ONE, STAR, _parts_hold
+from mpartition.patterns import ONE, STAR, _unmet_demands
 
 from auxiliary import complete_graph, cycle_graph, disjoint_union, path_graph
 
@@ -385,7 +385,7 @@ def test_verify_assignment_matches_reference(case):
     pattern, g, assignment = case
     expected = ref_verify_assignment(g, pattern, assignment)
     assert verify_assignment(g, pattern, assignment) == expected
-    assert _parts_hold(g, pattern, assignment) == (expected is None)
+    assert (_unmet_demands(g, pattern, assignment) is None) == (expected is None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from mpartition import (
     solve,
     verify_assignment,
 )
+from mpartition import patterns
 
 from auxiliary import complete_graph, cycle_graph, disjoint_union
 
@@ -73,13 +74,37 @@ def test_verify_rejects_missing_complete_adjacency():
 
 
 def test_verify_wide_pattern_scans_for_the_first_pair():
-    # past 256 parts the whole-part check gives way to the scan
+    # past 256 parts the whole-part check still decides: on the assignment's
+    # bytes while every part fits in one, else on masks built vertex by
+    # vertex; the scan only names the first pair
     cells = [["0" if i == j else "*" for j in range(300)] for i in range(300)]
     cells[0][299] = cells[299][0] = "1"
+    cells[0][200] = cells[200][0] = "1"
     wide = Pattern(tuple(map(tuple, cells)))
-    assert verify_assignment(complete_graph(3), wide, (0, 150, 299)) is None
-    violation = verify_assignment(Graph(3, [(0, 1), (1, 2)]), wide, (0, 150, 299))
+    k3, p3 = complete_graph(3), Graph(3, [(0, 1), (1, 2)])
+    assert verify_assignment(k3, wide, (0, 150, 299)) is None
+    violation = verify_assignment(p3, wide, (0, 150, 299))
     assert str(violation) == "vertices 0 (part 0) and 2 (part 299) must be adjacent"
+    assert verify_assignment(k3, wide, (0, 150, 200)) is None
+    violation = verify_assignment(p3, wide, (0, 150, 200))
+    assert str(violation) == "vertices 0 (part 0) and 2 (part 200) must be adjacent"
+    with pytest.raises(ValueError, match="^vertex 1 assigned to invalid part 300$"):
+        verify_assignment(k3, wide, (0, 300, 301))
+    # a clique part past the byte
+    cells = [["0" if i == j else "*" for j in range(300)] for i in range(300)]
+    cells[299][299] = "1"
+    wide = Pattern(tuple(map(tuple, cells)))
+    assert verify_assignment(Graph(3, [(1, 2)]), wide, (0, 299, 299)) is None
+    violation = verify_assignment(Graph(3), wide, (0, 299, 299))
+    assert str(violation) == "vertices 1 (part 299) and 2 (part 299) must be adjacent"
+
+
+def test_verify_scan_never_decides(monkeypatch):
+    # the whole-part check decides; demands no pair violates are an
+    # internal error, not a valid assignment
+    monkeypatch.setattr(patterns, "_unmet_demands", lambda *args: ([0] * 3, [0] * 3))
+    with pytest.raises(RuntimeError, match="internal error"):
+        verify_assignment(complete_graph(2), M1, (0, 0))
 
 
 def test_verify_argument_errors():

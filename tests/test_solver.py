@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -137,6 +138,14 @@ def test_fan2_is_its_own_witness():
     kind, witness = cert.witness
     assert kind == fan_kind(2)
     assert witness == frozenset(range(7))
+
+
+def test_far_edge_among_isolated_vertices():
+    # the edge outside the triangle's component lies past 1998 isolated
+    # vertices; the search for it walks only the vertices with an edge
+    g = Graph(2003, [(0, 1), (0, 2), (1, 2), (2001, 2002)])
+    kind, witness = solve_certifying(g).witness
+    assert (kind.tag, sorted(witness)) == ("F1", [0, 1, 2, 2001, 2002])
 
 
 def test_disjoint_triangle_and_edge():
@@ -331,6 +340,18 @@ def test_case_functions_guard_their_preconditions():
     # a second component with an edge is not the caller's to pass on
     with pytest.raises(RuntimeError, match="do not cover the graph"):
         _shared_edge(disjoint_union(complete_graph(3), path_graph(2)), 1, 2, 1 << 0)
+
+
+def test_certificates_are_pinned(corpus8):
+    # every certificate's JSON, byte for byte, over the connected chordal
+    # graphs on at most 8 vertices and a random_chordal grid
+    graphs = corpus8 + [random_chordal(n, bias, seed) for n in (40, 150, 500)
+                        for bias in (0.5, 0.9, 0.97, 0.99, 1.0) for seed in (1, 2, 3)]
+    digest = hashlib.sha256()
+    for g in graphs:
+        digest.update(solve_certifying(g).to_json().encode() + b"\n")
+    assert (len(graphs), digest.hexdigest()) == (
+        2013, "e071609c6e4d446846aa43663b71715ca65e49c20c110721686bc8faa17ad4d7")
 
 
 # -- agreement sweeps ----------------------------------------------------------
