@@ -9,11 +9,15 @@ visiting a vertex moves its unvisited neighbours of each class into a new
 class just before it, and the next vertex is the lowest id of the first
 class.  The last class holds the vertices no visit has labelled yet, and a
 visit moves its neighbours there in one mask step; only a neighbour that
-is already labelled is handled on its own.  The edges that first label a
-vertex form a spanning forest, so the sweep takes a constant number of
-steps per vertex plus one per edge outside that forest (m - n + c of them
-for c components, none on a forest), each a bitset operation on n-bit
-ints.
+is already labelled is handled on its own.  Most visits need less: a
+quiet visit, whose vertex has no unvisited neighbour, ends after the PEO
+check, and a single labelled neighbour moves alone into a new class just
+before its own, or stays if it is that class's only member.  Only two or
+more labelled neighbours go through the general split.  The edges that
+first label a vertex form a spanning forest, so the sweep takes a
+constant number of steps per vertex plus one per edge outside that
+forest (m - n + c of them for c components, none on a forest), each a
+bitset operation on n-bit ints.
 Each visit also tests the vertex's earlier neighbours against the last
 of them.  A failed test yields a hole (a chordless cycle of length at
 least four) through the last failing vertex by one layer search.
@@ -117,6 +121,8 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
             if bad:
                 failure = v, p, bad
             cliques.append(earlier | low)
+        if not nb:  # a quiet visit: no neighbour left to label
+            continue
         fresh = nb & members[0]
         if fresh:
             # v's unlabelled neighbours, a layer below v, move as one class
@@ -135,7 +141,30 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
             else:
                 nxt[q] = d
             nb ^= fresh
-        if not nb:
+            if not nb:
+                continue
+        if not nb & (nb - 1):
+            # one labelled neighbour w: it moves alone into a new class just
+            # before its own, or stays if it is that class's only member
+            w = nb.bit_length() - 1
+            parent[w] = v
+            c = cls[w]
+            if c < 0:
+                c = opened[((adj[w] & ~unvisited) ^ low).bit_length() - 1]
+            if members[c] != nb:
+                members[c] ^= nb
+                d = len(members)
+                members.append(nb)
+                q = prev[c]
+                prev.append(q)
+                nxt.append(c)
+                prev[c] = d
+                if q < 0:
+                    head = d
+                else:
+                    nxt[q] = d
+                c = d
+            cls[w] = c
             continue
         split: dict[int, int] = {}
         rest = nb

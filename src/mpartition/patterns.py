@@ -10,18 +10,18 @@ could swallow the whole graph, making every instance trivially solvable.
 ``verify_assignment`` and ``solve``, an exhaustive backtracking oracle
 for small graphs, work on demand masks: per part, the vertices its
 members must see (those of the parts in its row's 1 cells) and must miss
-(its 0 cells).  The verifier decides by checking each part whole; its
-scan, which only names the first violating pair, and the search share
-one test: vertex v fits part i iff ``must_see[i] & ~adj[v]`` and
-``must_miss[i] & adj[v]`` are both empty.
+(its 0 cells).  The verifier decides by testing each part's members
+against its demands in C-level passes; its scan, which only names the
+first violating pair, and the search share one test: vertex v fits part
+i iff ``must_see[i] & ~adj[v]`` and ``must_miss[i] & adj[v]`` are both
+empty.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import compress, repeat
-from operator import and_, or_
+from operator import and_
 from typing import Sequence
 
 from .graph import Graph, induced, selector
@@ -126,10 +126,12 @@ def _unmet_demands(
 
     The part masks are read off the assignment's bytes when every part
     fits in one, else vertex by vertex, raising for the first vertex in an
-    invalid part.  Each part is checked whole: the union of its members'
-    neighbourhoods must miss each part of a 0 cell in its row, and their
-    intersection must cover each other part of a 1 cell; a 1 on the
-    diagonal is checked by counting the edges inside the part.
+    invalid part.  Each part is checked against its demands: no member's
+    neighbourhood may meet a part of a 0 cell in its row, and every
+    member's must cover each other part of a 1 cell, each test one C-level
+    pass over the members that stops at the first failing one and builds
+    no n-bit union; a 1 on the diagonal is checked by counting the edges
+    inside the part.
     """
     m = pattern.m
     try:
@@ -155,7 +157,10 @@ def _unmet_demands(
                 must_miss[i] |= masks[j]
     for see, miss, own in zip(must_see, must_miss, masks):
         members = list(compress(g.adj, selector(g.n, own)))
-        if miss & reduce(or_, members, 0) or see & ~own & ~reduce(and_, members, -1):
+        if miss and any(map(and_, members, repeat(miss))):
+            return must_see, must_miss
+        need = see & ~own
+        if need and not all(map(need.__eq__, map(and_, members, repeat(need)))):
             return must_see, must_miss
         if see & own:  # a clique: each of its k members sees the other k - 1
             k = len(members)

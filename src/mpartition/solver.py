@@ -449,12 +449,14 @@ def _certify(g: Graph, chordality: ChordalityCertificate) -> M1Certificate:
         return _yes(g.n, chordality.odd)
     if chordality.edge_components > 1:
         tri = _first_clique(cliques, 3)
-        # outside the triangle's component, the lowest vertex with an edge
-        # (all found in one pass) starts the first other component with one
+        # outside the triangle's component, the lowest vertex u with an edge
+        # (the first non-empty neighbourhood of one lazy pass) and its
+        # lowest neighbour start the first other component with one
         rest = ((1 << g.n) - 1) & ~reduce(or_, bfs_layers(g, 1 << tri[0]))
-        edge = first_edge(g, reduce(or_, compress(g.adj, selector(g.n, rest)), 0) & rest)
-        if edge:
-            return _no(ObstructionKind("F1"), {*tri, *edge})
+        sel = selector(g.n, rest)
+        u = next(compress(compress(range(g.n), sel), compress(g.adj, sel)), None)
+        if u is not None:
+            return _no(ObstructionKind("F1"), {*tri, u, lowest(g.adj[u])})
     # any other component is an isolated vertex: the cases leave it in part 0
     if max(map(int.bit_count, cliques)) > 3:
         return _no(ObstructionKind("F7"), _first_clique(cliques, 4))

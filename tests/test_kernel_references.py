@@ -85,6 +85,7 @@ from mpartition.graph import (
     first_edge,
     forest,
     lowest,
+    selector,
     tree_path,
 )
 from mpartition.solver import (
@@ -386,6 +387,29 @@ def test_verify_assignment_matches_reference(case):
     expected = ref_verify_assignment(g, pattern, assignment)
     assert verify_assignment(g, pattern, assignment) == expected
     assert (_unmet_demands(g, pattern, assignment) is None) == (expected is None)
+
+
+def test_verify_assignment_matches_reference_on_large_hubs():
+    # a 500-vertex hub host of the benchmark with its yes-assignment (part
+    # 2 the hub, part 1 hub neighbours), and K2,249 with its hubs in part 2
+    # beside 249 isolated vertices in part 0 (each join part has two or
+    # more members, so a missing pair leaves the others seeing the whole
+    # other part): each as it is, with one missing join pair, and with one
+    # edge inside part 0, against the pairwise scan's first pair
+    hub = bench_host("certify_yes", "yes_hub")
+    k2 = Graph(500, [(h, v) for h in (0, 499) for v in range(1, 250)])
+    for g, a in ((hub, solve_certifying(hub).assignment),
+                 (k2, [2] + [1] * 249 + [0] * 249 + [2])):
+        x, y = a.index(2), [v for v in range(g.n) if a[v] == 1][-1]
+        u, w = [v for v in range(g.n) if a[v] == 0][-2:]
+        assert not g.has_edge(u, w)
+        broken = Graph(g.n, [e for e in g.edges() if set(e) != {x, y}])
+        inside = Graph(g.n, g.edges() + [(u, w)])
+        for h, violated in ((g, False), (broken, True), (inside, True)):
+            expected = ref_verify_assignment(h, M1, a)
+            assert (expected is not None) == violated
+            assert verify_assignment(h, M1, a) == expected
+            assert (_unmet_demands(h, M1, a) is None) == (expected is None)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1436,17 +1460,30 @@ def test_disjoint_triangle_rule_matches_search_on_every_labelling():
         assert _triangle_witness(g, is_chordal(g).cliques) == expected
 
 
-def bench_pools():
-    """Every input of the three certify pools of the benchmark, seeds 1-3."""
+def bench_inputs():
+    """The benchmark's ``inputs.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "bench" / "inputs.py"
     spec = importlib.util.spec_from_file_location("bench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # dataclasses look their module up
     spec.loader.exec_module(inputs)
+    return inputs
+
+
+def bench_pools():
+    """Every input of the three certify pools of the benchmark, seeds 1-3."""
+    inputs = bench_inputs()
     for workload in ("certify_yes", "certify_no", "cli_check_verify"):
         for seed in (1, 2, 3):
             for inst in inputs.pool(workload, seed, random_chordal):
                 yield Graph(inst.n, inst.edges)
+
+
+def bench_host(workload, label):
+    """The first host built by ``label`` in the seed-1 pool of ``workload``."""
+    inst = next(i for i in bench_inputs().pool(workload, 1, random_chordal)
+                if i.label == label)
+    return Graph(inst.n, inst.edges)
 
 
 def test_case_analysis_matches_reference_on_corpus_and_bench_pools(corpus8):
@@ -1690,6 +1727,56 @@ def test_traversals_match_references_on_odd_cycle_families():
             assert bipartizer_set(g) == frozenset(range(k))
 
 
+def star(n, hub=0):
+    return Graph(n, [(hub, v) for v in range(n) if v != hub])
+
+
+def nx_layers(g, sources, removed):
+    """Breadth-first layers of g minus ``removed`` from ``sources``, as
+    bitsets, by networkx."""
+    nxg = nx_graph(g)
+    nxg.remove_nodes_from(bits(removed))
+    return [sum(1 << v for v in layer) for layer in nx.bfs_layers(nxg, list(bits(sources)))]
+
+
+def selector_calls(monkeypatch):
+    """The masks the layer search builds a selector for, as it goes."""
+    calls = []
+    monkeypatch.setattr("mpartition.graph.selector",
+                        lambda n, mask: calls.append(mask) or selector(n, mask))
+    return calls
+
+
+def test_layer_search_matches_networkx_across_the_wide_layer_rule(monkeypatch):
+    # hosts with layers on both sides of the rule that sends a wide layer
+    # through one pass over a selector, from one and from several sources,
+    # with and without removed vertices
+    calls = selector_calls(monkeypatch)
+    rng = random.Random(7)
+    hosts = [star(2001), random_chordal(2000, 0.5, 1), random_chordal(2000, 0.5, 2),
+             bench_host("certify_no", "no_fan100")]
+    for g in hosts:
+        calls.clear()
+        expanded = 0
+        for count in (1, 1, 5, 40):
+            sources = sum(1 << v for v in rng.sample(range(g.n), count))
+            for share in (0, 10, 3):
+                removed = 0 if not share else sum(
+                    1 << v for v in range(g.n) if rng.randrange(share) == 0) & ~sources
+                layers = bfs_layers(g, sources, removed)
+                assert layers == nx_layers(g, sources, removed)
+                expanded += len(layers)
+        assert 0 < len(calls) < expanded
+
+
+def test_only_wide_layers_build_a_selector(monkeypatch):
+    calls = selector_calls(monkeypatch)
+    assert bfs_layers(path_graph(2000), 1) == [1 << v for v in range(2000)]
+    assert calls == []
+    assert bfs_layers(star(2001), 1) == [1, (1 << 2001) - 2]
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # the hole through a failed PEO check, and the O(k) hole check
 # ---------------------------------------------------------------------------
@@ -1778,6 +1865,30 @@ def test_sweep_matches_two_pass_reference_on_corpus_and_bench_pools(corpus8):
             assert cert == ref_two_pass_is_chordal(g)
             holed += not cert
     assert holed > 100
+
+
+def test_sweep_matches_references_on_large_hosts():
+    # a star (quiet visits); K2,498 with hubs 0 and 499 (at every leaf but
+    # the first, the second hub is the one labelled neighbour left and
+    # the only member of its class, so it stays); the square of a path
+    # (likewise the next vertex, at every visit); a Fan(100) host (single
+    # moves along the spoke path); each also with the edge (0, n - 1),
+    # which closes a hole in the last two and removes every hole of K2,498
+    n = 500
+    hosts = [
+        star(n, 250),
+        Graph(n, [(hub, v) for hub in (0, n - 1) for v in range(1, n - 1)]),
+        Graph(n, [(u, v) for u in range(n) for v in (u + 1, u + 2) if v < n]),
+        bench_host("certify_no", "no_fan100"),
+    ]
+    holed = []
+    for g in hosts:
+        for h in (g, Graph(n, g.edges() + [(0, n - 1)])):
+            cert = is_chordal(h)
+            assert cert == ref_two_pass_is_chordal(h)
+            assert _lex_bfs(h)[0] == ref_partition_lex_bfs(h)[0]
+            holed.append(not cert)
+    assert holed == [False, False, True, False, False, True, False, True]
 
 
 def test_hole_comes_from_the_last_failing_vertex():

@@ -148,6 +148,14 @@ def test_far_edge_among_isolated_vertices():
     assert (kind.tag, sorted(witness)) == ("F1", [0, 1, 2, 2001, 2002])
 
 
+def test_path_beside_a_triangle():
+    # the first vertex outside the triangle's component already has an
+    # edge: the search stops there, not after every outside vertex
+    g = Graph(3003, [(0, 1), (0, 2), (1, 2)] + [(v, v + 1) for v in range(3, 3002)])
+    kind, witness = solve_certifying(g).witness
+    assert (kind.tag, sorted(witness)) == ("F1", [0, 1, 2, 3, 4])
+
+
 def test_disjoint_triangle_and_edge():
     g = disjoint_union(complete_graph(3), complete_graph(2))
     cert = solve_certifying(g)
