@@ -276,7 +276,7 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
     for v in range(1, n):
         anchor = rng.randrange(v)
         clique = [anchor]
-        cand = adj[anchor] & ((1 << v) - 1)
+        cand = adj[anchor]  # every edge so far joins vertices below v
         while cand:
             w = rng.choice(list(bits(cand)))
             clique.append(w)

@@ -19,7 +19,9 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .catalogue import (
     FINITE_MINIMAL_TAGS,
@@ -39,7 +41,7 @@ from .graph import (
     to_edgelist,
     to_graph6,
 )
-from .patterns import M1, Pattern, is_minimal_obstruction, solve
+from .patterns import M1, Pattern, assignment_parts, is_minimal_obstruction, solve
 from .solver import (
     M1Certificate,
     NotChordalError,
@@ -176,12 +178,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_YES if problem is None else EXIT_NO
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _is_int_list(value: object) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+    # JSON gives no int subclass but bool, so an int is a value of type int
+    return isinstance(value, list) and {*map(type, value)} <= {int}
 
 
 @_reader
@@ -203,14 +202,16 @@ def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
                 and all(map(_is_int_list, parts))):
             raise ValueError("malformed certificate: parts must be three lists of ints")
         assignment = [-1] * g.n
-        for i, part in enumerate(parts):
+        if sorted(chain(*parts)) == list(range(g.n)):  # each vertex once
+            for i, part in enumerate(parts):  # assignment[v] = i, in C
+                deque(map(assignment.__setitem__, part, repeat(i)), 0)
+            return M1Certificate(tuple(assignment), None)
+        for i, part in enumerate(parts):  # name the first fault
             for v in part:
                 if not 0 <= v < g.n or assignment[v] != -1:
                     return f"bad or duplicated vertex {v!r} in parts"
                 assignment[v] = i
-        if -1 in assignment:
-            return "parts do not cover every vertex"
-        return M1Certificate(tuple(assignment), None)
+        return "parts do not cover every vertex"
     if doc.get("decision") == "no":
         wit = doc.get("witness")
         if not isinstance(wit, dict):
@@ -218,7 +219,7 @@ def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
         kind, k, vertices = wit.get("kind"), wit.get("k"), wit.get("vertices")
         if not isinstance(kind, str):
             raise ValueError("malformed certificate: witness kind must be a string")
-        if k is not None and not _is_int(k):
+        if k is not None and type(k) is not int:
             raise ValueError("malformed certificate: witness k must be an int")
         if not _is_int_list(vertices):
             raise ValueError("malformed certificate: witness vertices must be a list of ints")
@@ -255,9 +256,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if assignment is None:
         print(json.dumps({"decision": "no", "parts": None}, sort_keys=True))
         return EXIT_NO
-    parts: list[list[int]] = [[] for _ in range(pattern.m)]
-    for v, part in enumerate(assignment):
-        parts[part].append(v)
+    parts = assignment_parts(assignment, pattern.m)
     print(json.dumps({"decision": "yes", "parts": parts}, sort_keys=True))
     return EXIT_YES
 

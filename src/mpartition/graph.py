@@ -152,6 +152,9 @@ class Graph:
 # one-byte size header covers n <= 62; the four-byte form (0x7e prefix,
 # 18-bit size) covers larger graphs.  A 6-bit group is one base64 digit, so
 # the bit field goes through binascii's base64 codec: linear in the text.
+# The decoder finds each 1 in the bit string, steps on to its column j and
+# sets the pair (u, j) in adj[u] and adj[j]: the format has u < j < n for
+# every pair, so no edge list is built and ``Graph(n, edges)`` is off this path.
 # ---------------------------------------------------------------------------
 
 _G6_DIGITS = bytes(range(63, 127))
@@ -219,15 +222,19 @@ def from_graph6(text: str) -> Graph:
     stream = format(stream, f"0{len(quanta) * 6}b")
     if "1" in stream[npairs:nbytes * 6]:
         raise error("nonzero padding bits", pos + nbytes - 1)
-    edges = []
-    start = 0
-    for j in range(1, n):  # column j holds the pairs (0, j) .. (j-1, j)
-        i = stream.find("1", start, start + j)
-        while i >= 0:
-            edges.append((i - start, j))
-            i = stream.find("1", i + 1, start + j)
-        start += j
-    return Graph(n, edges)
+    adj = [0] * n
+    find = stream.find
+    i = find("1")  # every bit past the last pair is zero: no find passes it
+    j = end = 0
+    while i >= 0:
+        while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
+            j += 1
+            end += j
+        u = i - end + j
+        adj[u] |= 1 << j
+        adj[j] |= 1 << u
+        i = find("1", i + 1)
+    return Graph._from_adj(adj)
 
 
 def to_graph6(g: Graph) -> str:

@@ -31,6 +31,14 @@ ZERO, ONE, STAR = "0", "1", "*"
 Assignment = tuple[int, ...]
 
 
+def assignment_parts(assignment: Sequence[int], m: int) -> list[list[int]]:
+    """The members of each of the m parts of ``assignment``, ascending."""
+    parts: list[list[int]] = [[] for _ in range(m)]
+    for v, part in enumerate(assignment):
+        parts[part].append(v)
+    return parts
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Symmetric matrix over {0, 1, *} with a 0/1 diagonal."""

@@ -56,7 +56,7 @@ from .graph import (
     selector,
     tree_path,
 )
-from .patterns import M1, Assignment, verify_assignment
+from .patterns import M1, Assignment, assignment_parts, verify_assignment
 
 Witness = tuple[ObstructionKind, VertexSet]
 
@@ -82,9 +82,7 @@ class M1Certificate:
 
     def to_json_dict(self) -> dict:
         if self.assignment is not None:
-            parts: list[list[int]] = [[], [], []]
-            for v, part in enumerate(self.assignment):
-                parts[part].append(v)
+            parts = assignment_parts(self.assignment, M1.m)
             return {"decision": "yes", "parts": parts, "witness": None}
         kind, vertices = self.witness  # type: ignore[misc]
         wit = kind.to_json_dict(vertices=sorted(vertices))

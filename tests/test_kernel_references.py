@@ -12,16 +12,20 @@ vertices, the canonical labelling that tried every order of twins, the
 enumeration that attached a vertex to every clique and labelled every
 child, the simplicial vertices found pair by pair, and the hub branch
 that walked its spokes and outer vertices one at a time and searched
-each spoke tree from its lowest vertex.
+each spoke tree from its lowest vertex, and the reading of a yes
+certificate's parts vertex by vertex.
 The library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
-bipartizer sets, colourings, certificate JSON, scan witnesses and
-canonical keys on every input; odd cycles and holes found by a layer
-search need only be valid and, for holes, as long as the reference's.
+bipartizer sets, colourings, certificate JSON, scan witnesses, canonical
+keys and read certificates or reasons on every input; odd cycles and
+holes found by a layer search need only be valid and, for holes, as long
+as the reference's.
 """
 
 import importlib.util
+import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -64,6 +68,7 @@ from mpartition import (
     verify_certificate,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
+from mpartition.cli import _InputError, _read_certificate
 from mpartition.chordal import (
     ChordalityCertificate,
     _canonical_columns,
@@ -576,6 +581,13 @@ def test_graph6_codec_matches_references_at_every_n():
         check_codec(random_graph(n, 0.5, n))
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 62, 63, 64, 200])
+def test_graph6_codec_on_empty_and_complete_graphs(n):
+    # all-empty and all-full columns, which random draws need not give
+    check_codec(Graph(n))
+    check_codec(complete_graph(n))
+
+
 def test_graph6_large_round_trip_matches_networkx():
     # the bit-at-a-time reference would take minutes here
     check_codec(random_chordal(2000, 0.5, 1), with_reference=False)
@@ -608,6 +620,122 @@ def test_graph6_decoder_rejects_like_reference(g, data):
         elif at < len(text):
             text = text[:at] + (c if op == "replace" else "") + text[at + 1:]
     assert decode_outcome(from_graph6, text) == decode_outcome(ref_from_graph6, text)
+
+
+# ---------------------------------------------------------------------------
+# certificate reading: the yes parts checked vertex by vertex
+# ---------------------------------------------------------------------------
+
+
+def ref_read_yes_parts(g, parts):
+    """The certificate that the yes ``parts`` state, or why they state
+    none; raises ValueError when they are not three lists of ints."""
+
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    if not (isinstance(parts, list) and len(parts) == 3
+            and all(isinstance(p, list) and all(map(is_int, p)) for p in parts)):
+        raise ValueError("malformed certificate: parts must be three lists of ints")
+    assignment = [-1] * g.n
+    for i, part in enumerate(parts):
+        for v in part:
+            if not 0 <= v < g.n or assignment[v] != -1:
+                return f"bad or duplicated vertex {v!r} in parts"
+            assignment[v] = i
+    if -1 in assignment:
+        return "parts do not cover every vertex"
+    return M1Certificate(tuple(assignment), None)
+
+
+def read_outcome(read, g, parts):
+    """What ``read`` makes of a yes document with these parts: the
+    certificate, the reason, or the text of the error it raises."""
+    try:
+        return read(g, parts)
+    except (_InputError, ValueError) as exc:
+        return "error", str(exc)
+
+
+def cli_read_yes_parts(g, parts):
+    doc = json.dumps({"decision": "yes", "parts": parts, "witness": None})
+    saved = sys.stdin
+    sys.stdin = io.StringIO(doc)
+    try:
+        return _read_certificate(g, "-")
+    finally:
+        sys.stdin = saved
+
+
+def check_yes_parts(g, parts):
+    got = read_outcome(cli_read_yes_parts, g, parts)
+    assert got == read_outcome(ref_read_yes_parts, g, parts)
+
+
+def shuffled_parts(n, rng):
+    order = list(range(n))
+    rng.shuffle(order)
+    cuts = sorted(rng.randint(0, n) for _ in range(2))
+    return [order[:cuts[0]], order[cuts[0]:cuts[1]], order[cuts[1]:]]
+
+
+YES_PARTS_CASES = [
+    # vertices permuted across the three parts, and empty parts
+    (4, [[3, 1], [0], [2]]),
+    (4, [[0, 1, 2, 3], [], []]),
+    (4, [[], [], [3, 2, 1, 0]]),
+    (0, [[], [], []]),
+    (0, [[0], [], []]),
+    (1, [[], [0], []]),
+    # an entry that is not an int
+    (4, [[0, True], [1, 3], []]),
+    (4, [[0, 2.0], [1, 3], []]),
+    (4, [[0, "2"], [1, 3], []]),
+    (4, [[0, 2], [1, 3], [None]]),
+    # negative and huge ints
+    (4, [[0, -1], [1, 3], [2]]),
+    (4, [[0, 2], [1, 3, 10**30], []]),
+    (4, [[-10**30], [0, 1, 2, 3], []]),
+    # duplicates, with the total length kept at n or not
+    (4, [[0, 0, 2], [1], []]),
+    (4, [[0, 2], [1, 2], []]),
+    (4, [[0, 2], [1, 3], [3, 0]]),
+    (4, [[0, 2], [1], []]),
+    (4, [[0, 1, 2, 3, 4], [], []]),
+    # not three lists
+    (4, [[0, 1, 2, 3], []]),
+    (4, [[0, 1], [2, 3], [], []]),
+    (4, [[0, 1], [2, 3], {}]),
+    (4, "[[0, 1], [2, 3], []]"),
+]
+
+
+@pytest.mark.parametrize("n, parts", YES_PARTS_CASES)
+def test_yes_parts_read_like_reference(n, parts):
+    check_yes_parts(path_graph(n), parts)
+
+
+def test_shuffled_yes_parts_read_like_reference():
+    rng = random.Random(7)
+    for n in (0, 1, 2, 5, 200):
+        g = random_chordal(n, 0.9, n) if n else Graph(0)
+        for _ in range(20):
+            parts = shuffled_parts(n, rng)
+            check_yes_parts(g, parts)
+            if n:  # one vertex repeated in place of another
+                parts[rng.randrange(3)].append(rng.randrange(n))
+                flat = [p for p in parts if p]
+                flat[rng.randrange(len(flat))].pop(0)
+                check_yes_parts(g, parts)
+
+
+_part_entries = st.integers(-2, 9) | st.booleans() | st.floats(0, 9) | st.text(max_size=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 7), st.lists(st.lists(_part_entries, max_size=9), min_size=2, max_size=4))
+def test_drawn_yes_parts_read_like_reference(n, parts):
+    check_yes_parts(Graph(n), parts)
 
 
 # ---------------------------------------------------------------------------
