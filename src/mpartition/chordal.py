@@ -413,7 +413,7 @@ def _from_columns(cols: list[int]) -> Graph:
 
 def canonical_key(g: Graph) -> str:
     """Canonical graph6 string: equal iff the graphs are isomorphic."""
-    return _graph6_from_columns(g.n, _canonical_columns(g)[:0:-1])
+    return _graph6_from_columns(g.n, _canonical_columns(g))
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +519,7 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
                     continue
                 child = Graph._from_adj(child_adj)
                 cols = _canonical_columns(child)
-                key = _graph6_from_columns(n, cols[:0:-1])
+                key = _graph6_from_columns(n, cols)
                 if key not in grown:  # the canonical form only once per class
                     grown[key] = _from_columns(cols)
         for key in sorted(grown):

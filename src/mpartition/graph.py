@@ -19,7 +19,6 @@ layer search expands a wide layer that way, and a narrow one in a loop.
 
 from __future__ import annotations
 
-import binascii
 import heapq
 from dataclasses import dataclass
 from functools import reduce
@@ -147,20 +146,24 @@ class Graph:
 # graph6 codec
 #
 # Bit-exact per the de-facto standard: the upper triangle is scanned in
-# column order ((0,1), (0,2), (1,2), (0,3), ...), packed into big-endian
-# 6-bit groups, each stored as one printable byte with offset 63.  The
-# one-byte size header covers n <= 62; the four-byte form (0x7e prefix,
-# 18-bit size) covers larger graphs.  A 6-bit group is one base64 digit, so
-# the bit field goes through binascii's base64 codec: linear in the text.
-# The decoder finds each 1 in the bit string, steps on to its column j and
-# sets the pair (u, j) in adj[u] and adj[j]: the format has u < j < n for
-# every pair, so no edge list is built and ``Graph(n, edges)`` is off this path.
+# column order ((0,1), (0,2), (1,2), (0,3), ...), and pair p of that
+# stream is bit 5 - p % 6 of digit p // 6, a digit being one printable
+# byte with offset 63.  Column j holds the pairs (0, j) .. (j-1, j) and
+# starts at pair j(j-1)/2.  The one-byte size header covers n <= 62; the
+# four-byte form ('~', the digit 63, then an 18-bit size) covers larger
+# graphs.  Both directions work one digit at a time, in memory linear in
+# the text.  The decoder visits only the digits other than '?', the ones
+# that hold a pair, and sets each pair (u, j) in adj[u] and adj[j]: the
+# format has u < j < n, so no edge list is built.  The encoder ORs each
+# edge into its digit's value and maps the values to digits in one pass.
 # ---------------------------------------------------------------------------
 
-_G6_DIGITS = bytes(range(63, 127))
-_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-_G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
-_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
+#: a digit value (0..63) to its digit
+_G6_FROM_VALUE = bytes.maketrans(bytes(range(64)), bytes(range(63, 127)))
+#: a byte to 0 for '?', 1 for another digit, 2 for a byte that is none
+_G6_KIND = b"\2" * 63 + b"\0" + b"\1" * 63 + b"\2" * 129
+#: a digit, as a byte, to the offsets within its six pairs of those it holds
+_G6_PAIRS = [()] * 63 + [tuple(k for k in range(6) if d >> 5 - k & 1) for d in range(64)]
 
 
 class Graph6Error(ValueError):
@@ -186,6 +189,7 @@ def from_graph6(text: str) -> Graph:
         data = s.encode("ascii")
     except UnicodeEncodeError as exc:
         raise error("non-ASCII character", exc.start) from None
+    del s  # one copy fewer of a long text
     if data[0] == 126:  # '~' introduces the multi-byte size forms
         if len(data) >= 2 and data[1] == 126:
             raise error("8-byte size form (n > 258047) not supported", 0)
@@ -206,71 +210,61 @@ def from_graph6(text: str) -> Graph:
         pos = 1
     npairs = n * (n - 1) // 2
     nbytes = (npairs + 5) // 6
-    field = data[pos:]
-    if len(field) < nbytes:
-        raise error(
-            f"truncated bit field: need {nbytes} bytes, have {len(field)}", len(data)
-        )
-    if len(field) > nbytes:
+    have = len(data) - pos
+    if have < nbytes:
+        raise error(f"truncated bit field: need {nbytes} bytes, have {have}", len(data))
+    if have > nbytes:
         raise error("trailing bytes after bit field", pos + nbytes)
-    illegal = field.translate(None, _G6_DIGITS)
-    if illegal:
-        raise error(f"illegal character {illegal[0]:#x} in bit field",
-                    pos + field.index(illegal[0]))
-    quanta = field.translate(_G6_TO_B64) + b"A" * (-nbytes % 4)  # zero digits
-    stream = int.from_bytes(binascii.a2b_base64(quanta), "big")
-    stream = format(stream, f"0{len(quanta) * 6}b")
-    if "1" in stream[npairs:nbytes * 6]:
+    find = data.translate(_G6_KIND).find
+    i = find(2)  # the header bytes are digits, so this lies in the field
+    if i >= 0:
+        raise error(f"illegal character {data[i]:#x} in bit field", i)
+    if nbytes and (data[-1] - 63) & ((1 << (nbytes * 6 - npairs)) - 1):
         raise error("nonzero padding bits", pos + nbytes - 1)
     adj = [0] * n
-    find = stream.find
-    i = find("1")  # every bit past the last pair is zero: no find passes it
-    j = end = 0
-    while i >= 0:
-        while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
-            j += 1
-            end += j
-        u = i - end + j
-        adj[u] |= 1 << j
-        adj[j] |= 1 << u
-        i = find("1", i + 1)
+    pairs = _G6_PAIRS
+    k = find(1, pos)  # the padding is zero: no digit holds a pair past the last
+    j = 0
+    end = 6 * pos  # pairs are counted from the text's first digit
+    while k >= 0:
+        first = 6 * k
+        for i in pairs[data[k]]:
+            i += first
+            while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
+                j += 1
+                end += j
+            u = i - end + j
+            adj[u] |= 1 << j
+            adj[j] |= 1 << u
+        k = find(1, k + 1)
     return Graph._from_adj(adj)
 
 
 def to_graph6(g: Graph) -> str:
     """Encode a graph as one graph6 line (no trailing newline)."""
     adj = g.adj
-    return _graph6_from_columns(
-        g.n, (adj[j] & ((1 << j) - 1) for j in range(g.n - 1, 0, -1)))
+    return _graph6_from_columns(g.n, (adj[j] & ((1 << j) - 1) for j in range(g.n)))
 
 
 def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
     """graph6 line of the n-vertex graph whose lower-triangle columns are
-    ``columns``, from column n-1 down to column 1: bit i of column j is the
-    pair (i, j), for i < j."""
+    ``columns``, from column 0 up to column n-1: bit u of column j is the
+    pair (u, j), for u < j."""
     if n > MAX_VERTICES:
         raise ValueError(f"graph6 encoding supported only for n <= {MAX_VERTICES}")
-    if n <= 62:
-        head = chr(n + 63)
-    else:
-        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
-    # Columns from the last to the first, each its lower neighbourhood high
-    # bit first, spell the pair stream backwards.  Chunks of ~4096 bits keep
-    # small graphs to one format call and large ones free of a growing int.
-    chunks = []
-    chunk = width = 0
-    for j, col in zip(range(n - 1, 0, -1), columns):
-        chunk = chunk << j | col
-        width += j
-        if width >= 4096 or j == 1:
-            chunks.append(format(chunk, f"0{width}b"))
-            chunk = width = 0
-    stream = "".join(chunks)[::-1]
-    nbytes = (len(stream) + 5) // 6
-    stream += "0" * ((nbytes + -nbytes % 4) * 6 - len(stream))  # whole base64 quanta
-    quanta = int(stream or "0", 2).to_bytes(len(stream) // 8, "big")
-    body = binascii.b2a_base64(quanta, newline=False)[:nbytes]
-    return head + body.translate(_B64_TO_G6).decode("ascii")
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    values = bytearray(head) + bytes((n * (n - 1) // 2 + 5) // 6)
+    first = len(head) * 6  # column j's first pair, counted from the head
+    for j, col in enumerate(columns):
+        while col:
+            low = col & -col
+            p = first + low.bit_length() - 1
+            values[p // 6] |= 32 >> p % 6
+            col ^= low
+        first += j
+    digits = values.translate(_G6_FROM_VALUE)
+    del values  # two copies of the text at most
+    return digits.decode("ascii")
 
 
 # ---------------------------------------------------------------------------

@@ -134,11 +134,11 @@ def _unmet_demands(
 
     The part masks are read off the assignment's bytes when every part
     fits in one, else vertex by vertex, raising for the first vertex in an
-    invalid part.  Each part is checked against its demands: no member's
-    neighbourhood may meet a part of a 0 cell in its row, and every
-    member's must cover each other part of a 1 cell, each test one C-level
-    pass over the members that stops at the first failing one and builds
-    no n-bit union; a 1 on the diagonal is checked by counting the edges
+    invalid part.  Each part is checked against the cells it decides: no
+    member's neighbourhood may meet a part of a 0 cell, and every member's
+    must cover each other part of a 1 cell, each test one C-level pass
+    over the members that stops at the first failing one and builds no
+    n-bit union; a 1 on the diagonal is checked by counting the edges
     inside the part.
     """
     m = pattern.m
@@ -163,7 +163,12 @@ def _unmet_demands(
                 must_see[i] |= masks[j]
             elif cell == ZERO:
                 must_miss[i] |= masks[j]
-    for see, miss, own in zip(must_see, must_miss, masks):
+    # a cell between two parts holds iff it holds from either side, so it is
+    # decided once, from the part with fewer members (the lower on a tie)
+    ahead = 0  # parts go largest first: the parts visited so far
+    for i in sorted(range(m), key=lambda i: (masks[i].bit_count(), i), reverse=True):
+        ahead |= masks[i]
+        see, miss, own = must_see[i] & ahead, must_miss[i] & ahead, masks[i]
         members = list(compress(g.adj, selector(g.n, own)))
         if miss and any(map(and_, members, repeat(miss))):
             return must_see, must_miss

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -14,6 +16,7 @@ from mpartition import (
     induced,
     is_bipartite,
     is_isomorphic,
+    random_chordal,
     to_dot,
     to_edgelist,
     to_graph6,
@@ -121,6 +124,23 @@ def test_graph6_long_form():
 def test_graph6_encoding_refuses_past_the_limit():
     with pytest.raises(ValueError, match="only for n <= 258047"):
         to_graph6(Graph(258048))
+
+
+def test_graph6_codec_memory_is_linear_in_the_text():
+    # each direction may hold a few copies of the text and the adjacency
+    # bitsets, but nothing of one byte or more per vertex pair
+    g = random_chordal(4000, 0.99, 1)
+    text = to_graph6(g)
+    for name, call in (("to_graph6", lambda: to_graph6(g)),
+                       ("from_graph6", lambda: from_graph6(text))):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(text), (name, peak, len(text))
 
 
 LONG_63 = "~??~"  # long-form header of a 63-vertex graph: 326 field bytes
