@@ -22,6 +22,7 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import chain, repeat
+from typing import Callable, NamedTuple, Sequence
 
 from .catalogue import (
     FINITE_MINIMAL_TAGS,
@@ -35,6 +36,11 @@ from .chordal import MAX_ENUMERATION_N, enumerate_connected_chordal, random_chor
 from .graph import (
     MAX_VERTICES,
     Graph,
+    VertexSet,
+    _edgelist_keys,
+    _graph6_cell_counts,
+    _graph6_field,
+    _graph6_pairs_among,
     from_edgelist,
     from_graph6,
     to_dot,
@@ -45,6 +51,7 @@ from .patterns import M1, Pattern, assignment_parts, is_minimal_obstruction, sol
 from .solver import (
     M1Certificate,
     NotChordalError,
+    _induces,
     solve_certifying,
     verify_certificate,
 )
@@ -132,11 +139,14 @@ def _read_text(path: str) -> str:
 
 
 @_reader
-def _read_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
+def _parse_graph(text: str, fmt: str) -> Graph:
     if fmt == "edgelist":
         return from_edgelist(text)
     return from_graph6(text)
+
+
+def _read_graph(path: str, fmt: str) -> Graph:
+    return _parse_graph(_read_text(path), fmt)
 
 
 def _emit_graph(g: Graph, fmt: str) -> str:
@@ -168,14 +178,73 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g = _read_graph(args.input, args.format)
-    cert = _read_certificate(g, args.certificate)
+    text = _read_text(args.input)
+    edges = _read_edges(text, args.format)
+    cert = _read_certificate(edges.n, args.certificate)
     if isinstance(cert, str):
-        print(json.dumps({"valid": False, "reason": cert}, sort_keys=True))
-        return EXIT_NO
-    problem = verify_certificate(g, cert)
+        problem = cert
+    elif _holds(edges, cert):
+        problem = None
+    else:  # the library verifier names the fault, on the text already read
+        problem = verify_certificate(_parse_graph(text, args.format), cert)
+        if problem is None:
+            raise RuntimeError("internal error: a certificate fails its edge "
+                               "count but verify_certificate finds no fault")
     print(json.dumps({"valid": problem is None, "reason": problem}, sort_keys=True))
     return EXIT_YES if problem is None else EXIT_NO
+
+
+class _Edges(NamedTuple):
+    """A graph's text as ``verify`` reads it, without its bitsets: the
+    vertex count, the edge counts between the parts of an assignment to
+    m parts (``cells(part, m)[a][b]`` edges (u, v), u < v, have v in part
+    a and u in part b) and the edges (u, v), u < v, with both ends in a
+    vertex set (``among(vertices)``)."""
+
+    n: int
+    cells: Callable[[Sequence[int], int], list[list[int]]]
+    among: Callable[[VertexSet], list[tuple[int, int]]]
+
+
+@_reader
+def _read_edges(text: str, fmt: str) -> _Edges:
+    """The edges of ``text``, raising what ``_parse_graph`` raises on it.
+    A graph6 field and a deduplicated edge list hold each edge once."""
+    if fmt == "graph6":
+        data, kinds, n, pos = _graph6_field(text)
+        return _Edges(n, functools.partial(_graph6_cell_counts, data, kinds, pos),
+                      functools.partial(_graph6_pairs_among, data, kinds, pos))
+    n, keys = _edgelist_keys(text)
+
+    def cells(part: Sequence[int], m: int) -> list[list[int]]:
+        counts = [[0] * m for _ in range(m)]
+        for u, v in map(divmod, keys, repeat(n)):
+            counts[part[v]][part[u]] += 1
+        return counts
+
+    def among(vertices: VertexSet) -> list[tuple[int, int]]:
+        return [(u, v) for u, v in map(divmod, keys, repeat(n))
+                if u in vertices and v in vertices]
+
+    return _Edges(n, cells, among)
+
+
+def _holds(edges: _Edges, cert: M1Certificate) -> bool:
+    """Does ``cert`` hold on the graph of ``edges``?  A yes-partition holds
+    iff no edge lies inside a part (M1's 0 diagonal) and |P1|·|P2| edges
+    join parts 1 and 2 (M1's 1 cell).  A witness holds iff its vertices are
+    in range and as many as its kind has, and its own edges, numbered by
+    ascending vertex as ``induced`` numbers them, induce that kind."""
+    if cert.assignment is not None:
+        part = cert.assignment
+        (c00, _, _), (_, c11, c12), (_, c21, c22) = edges.cells(part, 3)
+        return not (c00 or c11 or c22) and c12 + c21 == part.count(1) * part.count(2)
+    kind, vertices = cert.witness
+    if not all(0 <= v < edges.n for v in vertices) or len(vertices) != obstruction_size(kind):
+        return False
+    index = {v: i for i, v in enumerate(sorted(vertices))}
+    h = Graph(len(index), [(index[u], index[v]) for u, v in edges.among(vertices)])
+    return _induces(h, kind, frozenset(range(h.n)))
 
 
 def _is_int_list(value: object) -> bool:
@@ -184,7 +253,7 @@ def _is_int_list(value: object) -> bool:
 
 
 @_reader
-def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
+def _read_certificate(n: int, path: str) -> M1Certificate | str:
     """The certificate the JSON document at ``path`` states, or why it
     states none.
 
@@ -201,14 +270,14 @@ def _read_certificate(g: Graph, path: str) -> M1Certificate | str:
         if not (isinstance(parts, list) and len(parts) == 3
                 and all(map(_is_int_list, parts))):
             raise ValueError("malformed certificate: parts must be three lists of ints")
-        assignment = [-1] * g.n
-        if sorted(chain(*parts)) == list(range(g.n)):  # each vertex once
+        assignment = [-1] * n
+        if sorted(chain(*parts)) == list(range(n)):  # each vertex once
             for i, part in enumerate(parts):  # assignment[v] = i, in C
                 deque(map(assignment.__setitem__, part, repeat(i)), 0)
             return M1Certificate(tuple(assignment), None)
         for i, part in enumerate(parts):  # name the first fault
             for v in part:
-                if not 0 <= v < g.n or assignment[v] != -1:
+                if not 0 <= v < n or assignment[v] != -1:
                     return f"bad or duplicated vertex {v!r} in parts"
                 assignment[v] = i
         return "parts do not cover every vertex"

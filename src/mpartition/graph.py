@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 VertexSet = frozenset[int]
 
@@ -58,6 +58,13 @@ def selector(n: int, mask: int) -> bytes:
     return format(mask | 1 << n, "b")[:0:-1].encode().translate(_DIGIT_BYTES)
 
 
+def _bad_edge(n: int, u: int, v: int) -> ValueError:
+    """The error for an edge (u, v) that no n-vertex simple graph has."""
+    if 0 <= u < n and 0 <= v < n:
+        return ValueError(f"self-loop at vertex {u}")
+    return ValueError(f"edge ({u}, {v}) out of range for n={n}")
+
+
 def first_edge(g: Graph, mask: int) -> tuple[int, int] | None:
     """Lexicographically first edge (u, w) with both ends in the bitset
     ``mask``, or None: u is the lowest vertex of ``mask`` with a neighbour
@@ -87,10 +94,8 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         masks = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n) or u == v:
+                raise _bad_edge(n, u, v)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         object.__setattr__(self, "n", n)
@@ -177,6 +182,31 @@ class Graph6Error(ValueError):
 
 def from_graph6(text: str) -> Graph:
     """Decode one line of graph6 into a :class:`Graph`."""
+    data, kinds, n, pos = _graph6_field(text)
+    adj = [0] * n
+    pairs = _G6_PAIRS
+    find = kinds.find
+    k = find(1, pos)  # the padding is zero: no digit holds a pair past the last
+    j = 0
+    end = 6 * pos  # pairs are counted from the text's first digit
+    while k >= 0:
+        first = 6 * k
+        for i in pairs[data[k]]:
+            i += first
+            while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
+                j += 1
+                end += j
+            u = i - end + j
+            adj[u] |= 1 << j
+            adj[j] |= 1 << u
+        k = find(1, k + 1)
+    return Graph._from_adj(adj)
+
+
+def _graph6_field(text: str) -> tuple[bytes, bytes, int, int]:
+    """One line of graph6, checked: its bytes, their ``_G6_KIND`` kinds,
+    the vertex count n and the index of the first digit of the bit field.
+    Raises :class:`Graph6Error` for a malformed line."""
     s = text.strip().removeprefix(_GRAPH6_HEADER)
     lead = len(text.rstrip()) - len(s)  # where s starts in text
 
@@ -215,29 +245,65 @@ def from_graph6(text: str) -> Graph:
         raise error(f"truncated bit field: need {nbytes} bytes, have {have}", len(data))
     if have > nbytes:
         raise error("trailing bytes after bit field", pos + nbytes)
-    find = data.translate(_G6_KIND).find
-    i = find(2)  # the header bytes are digits, so this lies in the field
+    kinds = data.translate(_G6_KIND)
+    i = kinds.find(2)  # the header bytes are digits, so this lies in the field
     if i >= 0:
         raise error(f"illegal character {data[i]:#x} in bit field", i)
     if nbytes and (data[-1] - 63) & ((1 << (nbytes * 6 - npairs)) - 1):
         raise error("nonzero padding bits", pos + nbytes - 1)
-    adj = [0] * n
+    return data, kinds, n, pos
+
+
+def _graph6_cell_counts(
+    data: bytes, kinds: bytes, pos: int, part: Sequence[int], m: int
+) -> list[list[int]]:
+    """The edges of a checked graph6 field (``_graph6_field``) per pair of
+    parts of the m-part assignment ``part``: ``counts[a][b]`` edges (u, j),
+    u < j, have j in part a and u in part b.  The walk is ``from_graph6``'s,
+    with no bitset built; the count row of column j and the offset of its
+    pair (0, j) change only with the column."""
+    counts = [[0] * m for _ in range(m)]
     pairs = _G6_PAIRS
-    k = find(1, pos)  # the padding is zero: no digit holds a pair past the last
+    find = kinds.find
+    k = find(1, pos)
     j = 0
-    end = 6 * pos  # pairs are counted from the text's first digit
+    end = 6 * pos
+    row, base = counts[0], 0  # set again at the first pair, which opens a column
     while k >= 0:
         first = 6 * k
         for i in pairs[data[k]]:
             i += first
-            while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
-                j += 1
-                end += j
-            u = i - end + j
-            adj[u] |= 1 << j
-            adj[j] |= 1 << u
+            if i >= end:
+                while i >= end:
+                    j += 1
+                    end += j
+                row, base = counts[part[j]], j - end
+            row[part[i + base]] += 1
         k = find(1, k + 1)
-    return Graph._from_adj(adj)
+    return counts
+
+
+def _graph6_pairs_among(
+    data: bytes, kinds: bytes, pos: int, vertices: VertexSet
+) -> list[tuple[int, int]]:
+    """The edges (u, j), u < j, of a checked graph6 field with both ends
+    in ``vertices``, read off each member j's own column (0, j) ..
+    (j-1, j), whose digits other than '?' alone are visited."""
+    out = []
+    pairs = _G6_PAIRS
+    find = kinds.find
+    for j in vertices:
+        start = 6 * pos + j * (j - 1) // 2  # the pair (0, j), from the text's start
+        stop = (start + j + 5) // 6  # past the digit of the pair (j-1, j)
+        k = find(1, start // 6, stop)
+        while k >= 0:
+            first = 6 * k - start
+            for i in pairs[data[k]]:
+                u = first + i
+                if 0 <= u < j and u in vertices:
+                    out.append((u, j))
+            k = find(1, k + 1, stop)
+    return out
 
 
 def to_graph6(g: Graph) -> str:
@@ -274,6 +340,11 @@ def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
 
 def from_edgelist(text: str) -> Graph:
     """Parse the 'n m' + one 'u v' line per edge format (0-based ids)."""
+    return Graph(*_edgelist_edges(text))
+
+
+def _edgelist_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The vertex count and the edges, as given, of an edge-list text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
@@ -294,7 +365,21 @@ def from_edgelist(text: str) -> Graph:
         except ValueError:
             raise ValueError(f"bad edge line: {ln!r}") from None
         edges.append((u, v))
-    return Graph(n, edges)
+    return n, edges
+
+
+def _edgelist_keys(text: str) -> tuple[int, set[int]]:
+    """The vertex count n of an edge-list text and its edges, each once,
+    as the keys u * n + v of their ends u < v.  Raises the errors of
+    ``from_edgelist``, with ``Graph``'s for the first bad edge, but
+    builds no bitsets."""
+    n, edges = _edgelist_edges(text)
+    keys = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise _bad_edge(n, u, v)
+        keys.add(u * n + v if u < v else v * n + u)
+    return n, keys
 
 
 def to_edgelist(g: Graph) -> str:

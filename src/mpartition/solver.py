@@ -113,11 +113,14 @@ def verify_certificate(g: Graph, cert: M1Certificate) -> str | None:
     size = obstruction_size(kind)
     if len(vertices) != size:
         return f"witness has {len(vertices)} vertices, {kind} needs {size}"
+    return None if _induces(g, kind, vertices) else f"witness does not induce {kind}"
+
+
+def _induces(g: Graph, kind: ObstructionKind, vertices: VertexSet) -> bool:
+    """Do ``vertices``, as many as ``kind`` has, induce it in g?"""
     if kind.tag == "Fan":
-        fits = _induces_fan(g, vertices, kind.k)
-    else:
-        fits = is_isomorphic(induced(g, vertices), catalogue_graph(kind.tag))
-    return None if fits else f"witness does not induce {kind}"
+        return _induces_fan(g, vertices, kind.k)
+    return is_isomorphic(induced(g, vertices), catalogue_graph(kind.tag))
 
 
 def _induces_fan(g: Graph, vertices: VertexSet, k: int) -> bool:

@@ -662,7 +662,7 @@ def cli_read_yes_parts(g, parts):
     saved = sys.stdin
     sys.stdin = io.StringIO(doc)
     try:
-        return _read_certificate(g, "-")
+        return _read_certificate(g.n, "-")
     finally:
         sys.stdin = saved
 
