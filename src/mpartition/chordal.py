@@ -526,13 +526,3 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
             yield grown[key]
         level = grown
 
-
-__all__ = [
-    "ChordalityCertificate",
-    "MAX_ENUMERATION_N",
-    "canonical_key",
-    "enumerate_connected_chordal",
-    "is_chordal",
-    "random_chordal",
-    "verify_hole",
-]

@@ -19,9 +19,8 @@ import json
 import os
 import sys
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Callable, NamedTuple, Sequence
 
 from .catalogue import (
@@ -37,9 +36,11 @@ from .graph import (
     MAX_VERTICES,
     Graph,
     VertexSet,
+    _edgelist_graph,
     _edgelist_keys,
     _graph6_cell_counts,
     _graph6_field,
+    _graph6_graph,
     _graph6_pairs_among,
     from_edgelist,
     from_graph6,
@@ -48,13 +49,7 @@ from .graph import (
     to_graph6,
 )
 from .patterns import M1, Pattern, assignment_parts, is_minimal_obstruction, solve
-from .solver import (
-    M1Certificate,
-    NotChordalError,
-    _induces,
-    solve_certifying,
-    verify_certificate,
-)
+from .solver import M1Certificate, NotChordalError, solve_certifying, verify_certificate
 
 EXIT_YES = 0
 EXIT_NO = 1
@@ -139,14 +134,9 @@ def _read_text(path: str) -> str:
 
 
 @_reader
-def _parse_graph(text: str, fmt: str) -> Graph:
-    if fmt == "edgelist":
-        return from_edgelist(text)
-    return from_graph6(text)
-
-
 def _read_graph(path: str, fmt: str) -> Graph:
-    return _parse_graph(_read_text(path), fmt)
+    text = _read_text(path)
+    return from_edgelist(text) if fmt == "edgelist" else from_graph6(text)
 
 
 def _emit_graph(g: Graph, fmt: str) -> str:
@@ -178,15 +168,16 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    text = _read_text(args.input)
-    edges = _read_edges(text, args.format)
+    edges = _read_edges(_read_text(args.input), args.format)
     cert = _read_certificate(edges.n, args.certificate)
     if isinstance(cert, str):
         problem = cert
+    elif cert.witness is not None:  # the library check, on the witness's own edges
+        problem = verify_certificate(Graph(edges.n, edges.among(cert.witness[1])), cert)
     elif _holds(edges, cert):
         problem = None
-    else:  # the library verifier names the fault, on the text already read
-        problem = verify_certificate(_parse_graph(text, args.format), cert)
+    else:  # the library verifier names the fault, on the graph already parsed
+        problem = verify_certificate(edges.graph(), cert)
         if problem is None:
             raise RuntimeError("internal error: a certificate fails its edge "
                                "count but verify_certificate finds no fault")
@@ -195,29 +186,33 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 class _Edges(NamedTuple):
-    """A graph's text as ``verify`` reads it, without its bitsets: the
-    vertex count, the edge counts between the parts of an assignment to
-    m parts (``cells(part, m)[a][b]`` edges (u, v), u < v, have v in part
-    a and u in part b) and the edges (u, v), u < v, with both ends in a
-    vertex set (``among(vertices)``)."""
+    """A graph's text as ``verify`` reads it, parsed once and without its
+    bitsets: the vertex count, the edge counts between the parts of a
+    3-part assignment (``cells(part)[a][b]`` edges (u, v), u < v, have v in
+    part a and u in part b), the edges (u, v), u < v, with both ends in a
+    vertex set (``among(vertices)``), and the graph, built on demand
+    (``graph()``)."""
 
     n: int
-    cells: Callable[[Sequence[int], int], list[list[int]]]
+    cells: Callable[[Sequence[int]], list[list[int]]]
     among: Callable[[VertexSet], list[tuple[int, int]]]
+    graph: Callable[[], Graph]
 
 
 @_reader
 def _read_edges(text: str, fmt: str) -> _Edges:
-    """The edges of ``text``, raising what ``_parse_graph`` raises on it.
-    A graph6 field and a deduplicated edge list hold each edge once."""
+    """The edges of ``text``, raising what ``from_graph6`` or
+    ``from_edgelist`` raises on it.  A graph6 field and a deduplicated
+    edge list hold each edge once."""
     if fmt == "graph6":
         data, kinds, n, pos = _graph6_field(text)
         return _Edges(n, functools.partial(_graph6_cell_counts, data, kinds, pos),
-                      functools.partial(_graph6_pairs_among, data, kinds, pos))
+                      functools.partial(_graph6_pairs_among, data, kinds, pos),
+                      functools.partial(_graph6_graph, data, kinds, n, pos))
     n, keys = _edgelist_keys(text)
 
-    def cells(part: Sequence[int], m: int) -> list[list[int]]:
-        counts = [[0] * m for _ in range(m)]
+    def cells(part: Sequence[int]) -> list[list[int]]:
+        counts = [[0] * 3 for _ in range(3)]
         for u, v in map(divmod, keys, repeat(n)):
             counts[part[v]][part[u]] += 1
         return counts
@@ -226,25 +221,16 @@ def _read_edges(text: str, fmt: str) -> _Edges:
         return [(u, v) for u, v in map(divmod, keys, repeat(n))
                 if u in vertices and v in vertices]
 
-    return _Edges(n, cells, among)
+    return _Edges(n, cells, among, functools.partial(_edgelist_graph, n, keys))
 
 
 def _holds(edges: _Edges, cert: M1Certificate) -> bool:
-    """Does ``cert`` hold on the graph of ``edges``?  A yes-partition holds
-    iff no edge lies inside a part (M1's 0 diagonal) and |P1|·|P2| edges
-    join parts 1 and 2 (M1's 1 cell).  A witness holds iff its vertices are
-    in range and as many as its kind has, and its own edges, numbered by
-    ascending vertex as ``induced`` numbers them, induce that kind."""
-    if cert.assignment is not None:
-        part = cert.assignment
-        (c00, _, _), (_, c11, c12), (_, c21, c22) = edges.cells(part, 3)
-        return not (c00 or c11 or c22) and c12 + c21 == part.count(1) * part.count(2)
-    kind, vertices = cert.witness
-    if not all(0 <= v < edges.n for v in vertices) or len(vertices) != obstruction_size(kind):
-        return False
-    index = {v: i for i, v in enumerate(sorted(vertices))}
-    h = Graph(len(index), [(index[u], index[v]) for u, v in edges.among(vertices)])
-    return _induces(h, kind, frozenset(range(h.n)))
+    """Does the yes-partition of ``cert`` hold on the graph of ``edges``?
+    It does iff no edge lies inside a part (M1's 0 diagonal) and
+    |P1|·|P2| edges join parts 1 and 2 (M1's 1 cell)."""
+    part = cert.assignment
+    (c00, _, _), (_, c11, c12), (_, c21, c22) = edges.cells(part)
+    return not (c00 or c11 or c22) and c12 + c21 == part.count(1) * part.count(2)
 
 
 def _is_int_list(value: object) -> bool:
@@ -271,16 +257,14 @@ def _read_certificate(n: int, path: str) -> M1Certificate | str:
                 and all(map(_is_int_list, parts))):
             raise ValueError("malformed certificate: parts must be three lists of ints")
         assignment = [-1] * n
-        if sorted(chain(*parts)) == list(range(n)):  # each vertex once
-            for i, part in enumerate(parts):  # assignment[v] = i, in C
-                deque(map(assignment.__setitem__, part, repeat(i)), 0)
-            return M1Certificate(tuple(assignment), None)
-        for i, part in enumerate(parts):  # name the first fault
+        for i, part in enumerate(parts):
             for v in part:
                 if not 0 <= v < n or assignment[v] != -1:
                     return f"bad or duplicated vertex {v!r} in parts"
                 assignment[v] = i
-        return "parts do not cover every vertex"
+        if -1 in assignment:
+            return "parts do not cover every vertex"
+        return M1Certificate(tuple(assignment), None)
     if doc.get("decision") == "no":
         wit = doc.get("witness")
         if not isinstance(wit, dict):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -76,6 +76,7 @@ def first_edge(g: Graph, mask: int) -> tuple[int, int] | None:
     return None
 
 
+@dataclass(frozen=True, slots=True)
 class Graph:
     """Immutable simple undirected graph on vertices ``0..n-1``.
 
@@ -83,8 +84,6 @@ class Graph:
     symmetrises the edge list, rejects self-loops and collapses duplicate
     edges, so the adjacency invariants hold for every reachable instance.
     """
-
-    __slots__ = ("n", "adj")
 
     n: int
     adj: tuple[int, ...]
@@ -111,9 +110,6 @@ class Graph:
         object.__setattr__(g, "adj", masks)
         return g
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Graph is immutable")
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -134,14 +130,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.n)) // 2
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         return f"Graph({self.n}, {self.edges()!r})"
@@ -176,13 +164,20 @@ class Graph6Error(ValueError):
     passed, before whitespace and the ``>>graph6<<`` header are removed."""
 
     def __init__(self, message: str, offset: int) -> None:
-        super().__init__(f"{message} (byte offset {offset})")
+        super().__init__(message, offset)  # pickled as these arguments
         self.offset = offset
+
+    def __str__(self) -> str:
+        return f"{self.args[0]} (byte offset {self.offset})"
 
 
 def from_graph6(text: str) -> Graph:
     """Decode one line of graph6 into a :class:`Graph`."""
-    data, kinds, n, pos = _graph6_field(text)
+    return _graph6_graph(*_graph6_field(text))
+
+
+def _graph6_graph(data: bytes, kinds: bytes, n: int, pos: int) -> Graph:
+    """The graph of a checked graph6 field (``_graph6_field``)."""
     adj = [0] * n
     pairs = _G6_PAIRS
     find = kinds.find
@@ -255,14 +250,14 @@ def _graph6_field(text: str) -> tuple[bytes, bytes, int, int]:
 
 
 def _graph6_cell_counts(
-    data: bytes, kinds: bytes, pos: int, part: Sequence[int], m: int
+    data: bytes, kinds: bytes, pos: int, part: Sequence[int]
 ) -> list[list[int]]:
     """The edges of a checked graph6 field (``_graph6_field``) per pair of
-    parts of the m-part assignment ``part``: ``counts[a][b]`` edges (u, j),
-    u < j, have j in part a and u in part b.  The walk is ``from_graph6``'s,
+    parts of the 3-part assignment ``part``: ``counts[a][b]`` edges (u, j),
+    u < j, have j in part a and u in part b.  The walk is ``_graph6_graph``'s,
     with no bitset built; the count row of column j and the offset of its
     pair (0, j) change only with the column."""
-    counts = [[0] * m for _ in range(m)]
+    counts = [[0] * 3 for _ in range(3)]
     pairs = _G6_PAIRS
     find = kinds.find
     k = find(1, pos)
@@ -340,11 +335,13 @@ def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
 
 def from_edgelist(text: str) -> Graph:
     """Parse the 'n m' + one 'u v' line per edge format (0-based ids)."""
-    return Graph(*_edgelist_edges(text))
+    return _edgelist_graph(*_edgelist_keys(text))
 
 
-def _edgelist_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
-    """The vertex count and the edges, as given, of an edge-list text."""
+def _edgelist_keys(text: str) -> tuple[int, set[int]]:
+    """The vertex count n of an edge-list text and its edges, each once,
+    as the keys u * n + v of their ends u < v.  Every line is read before
+    the first bad edge raises ``Graph``'s error for it; no bitset is built."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
@@ -358,28 +355,25 @@ def _edgelist_edges(text: str) -> tuple[int, list[tuple[int, int]]]:
         )
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
+    keys = set()
+    bad = None
     for ln in lines[1:]:
         try:
             u, v = map(int, ln.split())
         except ValueError:
             raise ValueError(f"bad edge line: {ln!r}") from None
-        edges.append((u, v))
-    return n, edges
-
-
-def _edgelist_keys(text: str) -> tuple[int, set[int]]:
-    """The vertex count n of an edge-list text and its edges, each once,
-    as the keys u * n + v of their ends u < v.  Raises the errors of
-    ``from_edgelist``, with ``Graph``'s for the first bad edge, but
-    builds no bitsets."""
-    n, edges = _edgelist_edges(text)
-    keys = set()
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n) or u == v:
-            raise _bad_edge(n, u, v)
-        keys.add(u * n + v if u < v else v * n + u)
+        if 0 <= u < n and 0 <= v < n and u != v:
+            keys.add(u * n + v if u < v else v * n + u)
+        elif bad is None:
+            bad = _bad_edge(n, u, v)
+    if bad is not None:
+        raise bad
     return n, keys
+
+
+def _edgelist_graph(n: int, keys: Iterable[int]) -> Graph:
+    """The n-vertex graph whose edges are the keys of ``_edgelist_keys``."""
+    return Graph(n, map(divmod, keys, repeat(n)))
 
 
 def to_edgelist(g: Graph) -> str:

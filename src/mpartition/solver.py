@@ -65,8 +65,11 @@ class NotChordalError(ValueError):
     """Input graph is not chordal; carries the hole certificate."""
 
     def __init__(self, hole: tuple[int, ...]) -> None:
-        super().__init__(f"graph is not chordal: chordless cycle {list(hole)}")
+        super().__init__(hole)  # pickled as this argument
         self.hole = hole
+
+    def __str__(self) -> str:
+        return f"graph is not chordal: chordless cycle {list(self.hole)}"
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
+import copy
 import gc
 import itertools
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
 from mpartition import (
+    M1,
     Graph,
     Graph6Error,
+    NotChordalError,
     components,
     contains_induced,
     fan,
@@ -15,8 +19,10 @@ from mpartition import (
     from_graph6,
     induced,
     is_bipartite,
+    is_chordal,
     is_isomorphic,
     random_chordal,
+    solve_certifying,
     to_dot,
     to_edgelist,
     to_graph6,
@@ -79,6 +85,26 @@ def test_graph_is_immutable():
     with pytest.raises(AttributeError):
         g.n = 5
     assert hash(g) == hash(Graph(2, [(1, 0)]))
+
+
+def test_values_survive_pickling():
+    # multiprocessing pickles the values a census hands between workers
+    g = fan(2)
+    assert copy.copy(g) == copy.deepcopy(g) == g
+    values = [g, solve_certifying(g), solve_certifying(path_graph(4)),
+              is_chordal(g), is_chordal(cycle_graph(4)), M1]
+    for value in values:
+        assert pickle.loads(pickle.dumps(value)) == value
+    with pytest.raises(Graph6Error) as err:
+        from_graph6("Ch!")
+    errors = [err.value, NotChordalError((0, 1, 2, 3))]
+    for exc in errors:
+        back = pickle.loads(pickle.dumps(exc))
+        assert (type(back), str(back), vars(back)) == (type(exc), str(exc), vars(exc))
+    assert str(errors[0]) == "trailing bytes after bit field (byte offset 2)"
+    assert errors[0].offset == 2
+    assert str(errors[1]) == "graph is not chordal: chordless cycle [0, 1, 2, 3]"
+    assert errors[1].hole == (0, 1, 2, 3)
 
 
 # -- graph6 ------------------------------------------------------------------

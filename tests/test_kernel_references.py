@@ -12,8 +12,10 @@ vertices, the canonical labelling that tried every order of twins, the
 enumeration that attached a vertex to every clique and labelled every
 child, the simplicial vertices found pair by pair, and the hub branch
 that walked its spokes and outer vertices one at a time and searched
-each spoke tree from its lowest vertex, and the reading of a yes
-certificate's parts vertex by vertex.
+each spoke tree from its lowest vertex, the reading of a yes
+certificate's parts vertex by vertex, and the certificate reader that
+tested the parts' cover with one sort and filled the assignment in C
+before it named a fault vertex by vertex.
 The library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
 bipartizer sets, colourings, certificate JSON, scan witnesses, canonical
@@ -29,8 +31,9 @@ import json
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, deque
 from functools import reduce
+from itertools import chain, repeat
 from operator import and_, or_
 from pathlib import Path
 
@@ -68,7 +71,7 @@ from mpartition import (
     verify_certificate,
 )
 from mpartition.catalogue import FINITE_MINIMAL_TAGS, catalogue_graph
-from mpartition.cli import _InputError, _read_certificate
+from mpartition.cli import _InputError, _is_int_list, _read_certificate
 from mpartition.chordal import (
     ChordalityCertificate,
     _canonical_columns,
@@ -736,6 +739,92 @@ _part_entries = st.integers(-2, 9) | st.booleans() | st.floats(0, 9) | st.text(m
 @given(st.integers(0, 7), st.lists(st.lists(_part_entries, max_size=9), min_size=2, max_size=4))
 def test_drawn_yes_parts_read_like_reference(n, parts):
     check_yes_parts(Graph(n), parts)
+
+
+def ref_read_certificate(n, text):
+    """The CLI certificate reader with two paths for yes parts: a sorted
+    cover test and a whole-list fill, or the vertex-by-vertex loop that
+    names the first fault; it reads the document ``text``."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("malformed certificate: not a JSON object")
+    if doc.get("decision") == "yes":
+        parts = doc.get("parts")
+        if not (isinstance(parts, list) and len(parts) == 3
+                and all(map(_is_int_list, parts))):
+            raise ValueError("malformed certificate: parts must be three lists of ints")
+        assignment = [-1] * n
+        if sorted(chain(*parts)) == list(range(n)):  # each vertex once
+            for i, part in enumerate(parts):  # assignment[v] = i, in C
+                deque(map(assignment.__setitem__, part, repeat(i)), 0)
+            return M1Certificate(tuple(assignment), None)
+        for i, part in enumerate(parts):  # name the first fault
+            for v in part:
+                if not 0 <= v < n or assignment[v] != -1:
+                    return f"bad or duplicated vertex {v!r} in parts"
+                assignment[v] = i
+        return "parts do not cover every vertex"
+    if doc.get("decision") == "no":
+        wit = doc.get("witness")
+        if not isinstance(wit, dict):
+            raise ValueError("malformed certificate: no witness object")
+        kind, k, vertices = wit.get("kind"), wit.get("k"), wit.get("vertices")
+        if not isinstance(kind, str):
+            raise ValueError("malformed certificate: witness kind must be a string")
+        if k is not None and type(k) is not int:
+            raise ValueError("malformed certificate: witness k must be an int")
+        if not _is_int_list(vertices):
+            raise ValueError("malformed certificate: witness vertices must be a list of ints")
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                return f"duplicated witness vertex {v}"
+            seen.add(v)
+        try:
+            return M1Certificate(None, (ObstructionKind(kind, k), frozenset(vertices)))
+        except ValueError as exc:
+            return f"bad witness kind: {exc}"
+    return "decision must be 'yes' or 'no'"
+
+
+@st.composite
+def edited_covers(draw):
+    """A vertex count n and three parts that cover 0..n-1 once each, or
+    do so after up to three edits: a vertex repeated, a vertex dropped,
+    an id out of range put in, or a part emptied."""
+    n = draw(st.integers(0, 12))
+    order = draw(st.permutations(range(n)))
+    a, b = sorted(draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    parts = [list(order[:a]), list(order[a:b]), list(order[b:])]
+    for _ in range(draw(st.integers(0, 3))):
+        part = parts[draw(st.integers(0, 2))]
+        at = draw(st.integers(0, len(part)))
+        edit = draw(st.sampled_from(["repeat", "drop", "out-of-range", "empty"]))
+        if edit == "repeat" and n:
+            part.insert(at, draw(st.integers(0, n - 1)))
+        elif edit == "drop" and part:
+            del part[at - 1]
+        elif edit == "out-of-range":
+            part.insert(at, draw(st.sampled_from([-1, n, n + 1, -10**30, 10**30])))
+        elif edit == "empty":
+            part.clear()
+    return n, parts
+
+
+@settings(max_examples=500, deadline=None)
+@given(edited_covers())
+def test_yes_parts_read_like_the_two_path_reader(case):
+    # one loop names the same fault, or builds the same certificate, as
+    # the sorted cover test with its whole-list fill did
+    n, parts = case
+    doc = json.dumps({"decision": "yes", "parts": parts, "witness": None})
+    saved = sys.stdin
+    sys.stdin = io.StringIO(doc)
+    try:
+        got = _read_certificate(n, "-")
+    finally:
+        sys.stdin = saved
+    assert got == ref_read_certificate(n, doc)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
-"""``mpartition verify`` decides from the graph's text without building
-its bitsets: a yes-partition by counting the edges between its parts in
-one pass, a witness on the edges among its own vertices.  Only a
-rejected certificate builds the ``Graph``, so that ``verify_certificate``
-names the fault.  These tests hold the CLI to the library path: read the
+"""``mpartition verify`` parses the graph's text once and keeps no copy
+of the library's checks.  A yes-partition is decided without the host's
+bitsets, by counting the edges between its parts in one pass; a rejected
+one is handed to ``verify_certificate`` on the host decoded from that
+parse, so that the library names the fault.  A witness is handed to
+``verify_certificate`` on a graph that holds only the edges among its
+own vertices.  These tests hold the CLI to the library path: read the
 graph, then ``verify_certificate``."""
 
 import contextlib
@@ -27,6 +29,7 @@ from mpartition import (
     to_graph6,
     verify_certificate,
 )
+from mpartition import cli, graph
 from mpartition.cli import _read_certificate, main
 
 from auxiliary import path_graph
@@ -249,7 +252,18 @@ class OnceOnlyStdin(io.StringIO):
 
 @pytest.mark.parametrize("fmt", ["graph6", "edgelist"])
 def test_a_fault_in_a_host_from_stdin_is_named(tmp_path, monkeypatch, capsys, fmt):
-    # the library verifier's host is built from the text already read
+    # the library verifier's host is decoded from the parse already held:
+    # standard input is read once, and its text parsed once
+    parsed = []
+    reader = "_graph6_field" if fmt == "graph6" else "_edgelist_keys"
+    parse = getattr(graph, reader)
+
+    def counted(text):
+        parsed.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(graph, reader, counted)
+    monkeypatch.setattr(cli, reader, counted)
     text = host_text(fmt, 4, path_graph(4).edges())
     cert = tmp_path / "cert.json"
     cert.write_text(yes_doc([[0, 2], [1], [3]]))
@@ -261,6 +275,7 @@ def test_a_fault_in_a_host_from_stdin_is_named(tmp_path, monkeypatch, capsys, fm
         "reason": "vertices 1 (part 1) and 3 (part 2) must be adjacent",
     }
     assert stdin.reads == 1
+    assert parsed == [text]
 
 
 def test_a_rejection_the_library_verifier_does_not_share_is_an_internal_error(
@@ -279,15 +294,15 @@ def test_a_rejection_the_library_verifier_does_not_share_is_an_internal_error(
     assert capsys.readouterr().out == ""
 
 
-def test_verify_of_a_long_path_builds_no_bitsets(tmp_path):
-    # the bitsets of a 20000-vertex path alone take about 25 MB (a
-    # tracemalloc peak of 31.4 MB when verify builds them); read as
-    # edges, the peak is 5.8 MB
+def long_path_verify(tmp_path, doc):
+    """The result and the tracemalloc peak of ``verify`` of ``doc`` on a
+    20000-vertex path given as an edge list.  The path's bitsets alone
+    take about 25 MB (a peak of 31.4 MB when verify builds them)."""
     n = 20000
     path = tmp_path / "p.txt"
     path.write_text(edgelist_text(n, [(i, i + 1) for i in range(n - 1)]))
     cert = tmp_path / "cert.json"
-    cert.write_text(yes_doc([list(range(0, n, 2)), list(range(1, n, 2)), []]))
+    cert.write_text(doc)
     argv = ["--format", "edgelist", str(path), str(cert)]
     tracemalloc.start()
     try:
@@ -295,5 +310,20 @@ def test_verify_of_a_long_path_builds_no_bitsets(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_verify_of_a_long_path_builds_no_bitsets(tmp_path):
+    # read as edges, the peak is 5.8 MB
+    n = 20000
+    result, peak = long_path_verify(
+        tmp_path, yes_doc([list(range(0, n, 2)), list(range(1, n, 2)), []]))
     assert result == (0, '{"reason": null, "valid": true}\n', "")
+    assert peak < 8_000_000, peak
+
+
+def test_a_wrong_witness_on_a_long_path_is_named_without_the_host(tmp_path):
+    # the witness's graph holds the edges among its five vertices only
+    result, peak = long_path_verify(tmp_path, no_doc("F1", [0, 1, 2, 10, 11]))
+    assert result == (1, '{"reason": "witness does not induce F1", "valid": false}\n', "")
     assert peak < 8_000_000, peak
