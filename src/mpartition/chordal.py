@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator, Sequence
 
 from .graph import Graph, _graph6_from_columns, bfs_layers, bits, lowest, tree_path
 
@@ -296,31 +296,77 @@ def random_chordal(n: int, attach_bias: float = 0.5, seed: int = 0) -> Graph:
 
 MAX_ENUMERATION_N = 9
 
+# _SET_BITS[m]: the set bits of m in ascending order, for every mask of a
+# graph on at most MAX_ENUMERATION_N vertices.  The labelling lists the
+# bits of such masks for every neighbourhood, candidate and column, and a
+# tuple lookup costs a fraction of a bits() generator.  The table's 2^9
+# entries take about 0.1 ms to build, once; it stops there because each
+# further vertex doubles it, and enumeration never goes past 9 vertices.
+# Larger graphs (canonical_key takes any) list their bits in a loop.
+_SET_BITS: tuple[tuple[int, ...], ...] = ((),)
+for _v in range(MAX_ENUMERATION_N):
+    _SET_BITS += tuple(t + (_v,) for t in _SET_BITS)
+del _v
+
+
+def _bit_list(mask: int) -> list[int]:
+    """The set bits of ``mask`` in ascending order, without a generator."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _set_bits(n: int) -> Callable[[int], Sequence[int]]:
+    """The lister of set bits for the masks of an n-vertex graph."""
+    return _SET_BITS.__getitem__ if n <= MAX_ENUMERATION_N else _bit_list
+
 
 def _refinement_classes(g: Graph) -> list[list[int]]:
     """Partition vertices by iterated neighbour-colour refinement.
 
     Class order and membership depend only on the isomorphism type, so a
     canonical relabelling may be searched within colour-respecting
-    permutations only.  A round only splits classes, so one that keeps
-    their count keeps the partition and ends the refinement: its ranks are
-    those of the round before, or after the first round, of the degrees.
+    permutations only.  Each round ranks the vertices by their colour,
+    then by their sorted neighbour colours, starting from the degrees.  A
+    round only splits classes, so one that keeps their count keeps the
+    partition and ends the refinement: its ranks are those of the round
+    before, or after the first round, of the degrees.  A round that
+    leaves n classes ends it too, since singletons cannot split.
+
+    A round ranks one int per vertex, ``(colour << room) - packed``, where
+    ``packed`` holds the vertex's count of neighbours of each colour as
+    one digit of n.bit_length() bits (counts stay below n), colour 0 the
+    most significant.  Equal colours mean equal degrees, so their sorted
+    neighbour colours have one length, and the first colour whose counts
+    differ decides: the vertex with more neighbours of it has the smaller
+    tuple and the larger ``packed``.  So ranking by (colour, -packed)
+    ranks exactly as by (colour, sorted neighbour colours).
     """
-    nbrs = [list(bits(m)) for m in g.adj]
+    n = g.n
+    if not n:
+        return []
+    nbrs = list(map(_set_bits(n), g.adj))
     colour = [len(ws) for ws in nbrs]
     count = len(set(colour))
+    digit = n.bit_length()
     while True:
-        sig = [(c, tuple(sorted(map(colour.__getitem__, ws))))
+        top = max(colour)
+        room = digit * (top + 1)
+        weight = [1 << digit * (top - c) for c in colour]
+        sig = [(c << room) - sum(map(weight.__getitem__, ws))
                for c, ws in zip(colour, nbrs)]
         rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        colour = [rank[s] for s in sig]
-        if len(rank) == count:
+        colour = list(map(rank.__getitem__, sig))
+        if len(rank) in (count, n):  # stable, or singletons, which stay
             break
         count = len(rank)
-    classes: dict[int, list[int]] = {}
+    classes: list[list[int]] = [[] for _ in rank]
     for v, c in enumerate(colour):
-        classes.setdefault(c, []).append(v)
-    return [classes[c] for c in sorted(classes)]
+        classes[c].append(v)
+    return classes
 
 
 def _lower_twins(adj: tuple[int, ...]) -> list[int]:
@@ -351,22 +397,33 @@ def _canonical_columns(g: Graph) -> list[int]:
     minimum over those orders is the minimum over all.  Once a leaf is
     found below a prefix, the prefix's remaining extensions are compared
     with it, and one whose next column is larger is dropped: all its
-    leaves are larger, so the least leaf stays.
+    leaves are larger, so the least leaf stays, whatever order the
+    candidates are tried in: each slot tries its class in id order.  A
+    candidate's column is the sum of the slot bits of its placed
+    neighbours, and a partition of singletons is its one order, taken
+    without a search.
     """
     n = g.n
-    if n == 0:
-        return []
     adj = g.adj
+    members = _set_bits(n)
     classes = _refinement_classes(g)
-    slot_class = [ci for ci, cls in enumerate(classes) for _ in cls]
-    available = [list(cls) for cls in classes]
-    # twins share a refinement class; b may be placed once twin[b] is
-    twin = _lower_twins(adj)
-    best: list[int] | None = None
+    slot_bit = [0] * n  # 1 << the slot of each placed vertex
     cols: list[int] = []
-    perm: list[int] = []
+    if len(classes) == n:
+        placed = 0
+        for i, (v,) in enumerate(classes):
+            cols.append(sum(map(slot_bit.__getitem__, members(adj[v] & placed))))
+            slot_bit[v] = 1 << i
+            placed |= 1 << v
+        return cols
+    slot_class = [cls for cls in classes for _ in cls]
+    # twins share a refinement class; b may be placed once twin[b] is, so
+    # b is free iff placed & guard[b] is twin[b]
+    twin = [1 << a if a >= 0 else 0 for a in _lower_twins(adj)]
+    guard = [1 << b | t for b, t in enumerate(twin)]
+    best: list[int] | None = None
 
-    def search(i: int, equal: bool) -> bool:
+    def search(i: int, equal: bool, placed: int) -> bool:
         # equal: cols[:i] is the best leaf's prefix, else it is smaller.
         # Returns whether a new best leaf was found below; the prefix is
         # then the new best's, so the remaining siblings are compared.
@@ -377,36 +434,33 @@ def _canonical_columns(g: Graph) -> list[int]:
                 return True
             return False
         found = False
-        cls = slot_class[i]
-        for v in list(available[cls]):
-            if twin[v] in available[cls]:
+        for v in slot_class[i]:
+            if placed & guard[v] != twin[v]:
                 continue
-            col = 0
-            for j, u in enumerate(perm):
-                col |= (adj[u] >> v & 1) << j
+            col = sum(map(slot_bit.__getitem__, members(adj[v] & placed)))
             if equal and best is not None and col > best[i]:
                 continue
-            available[cls].remove(v)
-            perm.append(v)
+            slot_bit[v] = 1 << i
             cols.append(col)
-            if search(i + 1, equal and (best is None or col == best[i])):
+            if search(i + 1, equal and (best is None or col == best[i]),
+                      placed | 1 << v):
                 found = equal = True
             cols.pop()
-            perm.pop()
-            available[cls].append(v)
+            slot_bit[v] = 0
         return found
 
-    search(0, True)
+    search(0, True, 0)
     assert best is not None
     return best
 
 
-def _from_columns(cols: list[int]) -> Graph:
+def _from_columns(cols: Sequence[int]) -> Graph:
     """The graph whose lower-triangle columns are ``cols``: bit j of
     ``cols[i]``, for j < i, is the edge j-i."""
-    adj = cols.copy()
+    adj = list(cols)
+    members = _set_bits(len(cols))
     for i, col in enumerate(cols):
-        for j in bits(col):
+        for j in members(col):
             adj[j] |= 1 << i
     return Graph._from_adj(adj)
 
@@ -466,17 +520,18 @@ def _least_simplicial(adj: list[int], simplicial: int) -> bool:
     """Whether no simplicial vertex of the graph ``adj`` has a smaller
     invariant than its last vertex x.  The invariant is the degree, then
     the sorted degrees of the neighbours; ties pass."""
+    members = _set_bits(len(adj))
     degree = [m.bit_count() for m in adj]
     x = len(adj) - 1
     own = degree[x]
     nbr_degrees = None
-    for v in bits(simplicial ^ 1 << x):
+    for v in members(simplicial ^ 1 << x):
         if degree[v] < own:
             return False
         if degree[v] == own:
             if nbr_degrees is None:
-                nbr_degrees = sorted(map(degree.__getitem__, bits(adj[x])))
-            if sorted(map(degree.__getitem__, bits(adj[v]))) < nbr_degrees:
+                nbr_degrees = sorted(map(degree.__getitem__, members(adj[x])))
+            if sorted(map(degree.__getitem__, members(adj[v]))) < nbr_degrees:
                 return False
     return True
 
@@ -498,31 +553,26 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
     plus x on K is isomorphic to C, with x sent to y.  Isomorphisms keep
     simplicial vertices and the invariant, so x is least too and the
     child is labelled.  The child's simplicial vertices come from the
-    parent's, found once per parent (`_child_simplicial`).
+    parent's, found once per parent (`_child_simplicial`).  A level is the
+    set of its classes' canonical columns, so each class's key and graph
+    are built once.
     """
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise ValueError(f"max_n must lie in 1..{MAX_ENUMERATION_N}")
-    level = {canonical_key(Graph(1)): Graph(1)}
-    for key in sorted(level):
-        yield level[key]
+    level = [Graph(1)]
+    yield from level
     for n in range(2, max_n + 1):
-        grown: dict[str, Graph] = {}
+        grown: set[tuple[int, ...]] = set()
         top = 1 << (n - 1)
-        for parent in level.values():
+        for parent in level:
             adj = parent.adj
             simplicial = _simplicial(adj)
             for clique in _nonempty_cliques(parent):
                 child_adj = [m | top if clique >> u & 1 else m
                              for u, m in enumerate(adj)] + [clique]
                 child_simplicial = _child_simplicial(adj, simplicial, clique)
-                if not _least_simplicial(child_adj, child_simplicial):
-                    continue
-                child = Graph._from_adj(child_adj)
-                cols = _canonical_columns(child)
-                key = _graph6_from_columns(n, cols)
-                if key not in grown:  # the canonical form only once per class
-                    grown[key] = _from_columns(cols)
-        for key in sorted(grown):
-            yield grown[key]
-        level = grown
-
+                if _least_simplicial(child_adj, child_simplicial):
+                    grown.add(tuple(_canonical_columns(Graph._from_adj(child_adj))))
+        keyed = sorted((_graph6_from_columns(n, cols), cols) for cols in grown)
+        level = [_from_columns(cols) for _, cols in keyed]
+        yield from level

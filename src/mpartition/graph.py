@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress, repeat
+from itertools import compress
 from operator import or_
 from typing import Iterable, Iterator, Sequence
 
@@ -372,8 +372,17 @@ def _edgelist_keys(text: str) -> tuple[int, set[int]]:
 
 
 def _edgelist_graph(n: int, keys: Iterable[int]) -> Graph:
-    """The n-vertex graph whose edges are the keys of ``_edgelist_keys``."""
-    return Graph(n, map(divmod, keys, repeat(n)))
+    """The n-vertex graph whose edges are the keys of ``_edgelist_keys``,
+    which already checked their ends: the masks are filled straight from
+    the keys."""
+    if n < 0:
+        return Graph(n)  # raises the constructor's error
+    masks = [0] * n
+    for key in keys:
+        u, v = divmod(key, n)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph._from_adj(masks)
 
 
 def to_edgelist(g: Graph) -> str:

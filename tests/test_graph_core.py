@@ -6,6 +6,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from mpartition import (
     M1,
@@ -220,6 +222,30 @@ def test_edgelist_round_trip():
         from_edgelist("2 1\n")
     with pytest.raises(ValueError):
         from_edgelist("junk\n")
+
+
+@st.composite
+def edge_texts(draw):
+    """An edge-list text and its edges, with pairs repeated and reversed."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]),
+                          max_size=30))
+    edges = pairs + draw(st.lists(st.sampled_from(pairs), max_size=10)) if pairs else []
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges]
+    text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+    return text, n, edges
+
+
+@given(edge_texts())
+def test_edgelist_parse_matches_the_constructor(case):
+    text, n, edges = case
+    assert from_edgelist(text) == Graph(n, edges)
+
+
+def test_edgelist_rejects_a_negative_vertex_count():
+    with pytest.raises(ValueError, match="vertex count must be non-negative"):
+        from_edgelist("-1 0\n")
 
 
 def test_dot_emission():

@@ -2538,6 +2538,7 @@ def test_least_simplicial_children_reach_every_class():
             simplicial = _simplicial(g.adj)
             cliques = list(_nonempty_cliques(g))
             for clique, child in zip(cliques, grown_children(g, cliques)):
+                assert _refinement_classes(child) == ref_refinement_classes(child)
                 key = canonical_key(child)
                 every.setdefault(key, from_graph6(key))
                 child_simplicial = _child_simplicial(g.adj, simplicial, clique)
@@ -2551,17 +2552,21 @@ def test_least_simplicial_children_reach_every_class():
 
 
 def test_canonical_keys_past_the_reference():
-    # 10-12 vertices, where the reference may try up to 12! orders: keys
-    # must survive relabelling and tell isomorphism classes apart.  About
-    # half the random hosts are trees, which often share a degree sequence.
+    # 10-15 vertices, where the reference may try up to 15! orders and the
+    # labelling lists bits without its table: keys must survive relabelling
+    # and tell isomorphism classes apart.  About half the random hosts are
+    # trees, which often share a degree sequence.
     rng = random.Random(10)
-    hosts = [random_chordal(rng.randint(10, 12), rng.choice([1.0, rng.random()]),
-                            rng.randrange(2**32)) for _ in range(40)]
-    hosts += twin_hosts(rng, 40, (9, 11), 12)
-    assert all(10 <= g.n <= 12 for g in hosts)
+    hosts = [random_chordal(rng.randint(10, 15), rng.choice([1.0, rng.random()]),
+                            rng.randrange(2**32)) for _ in range(50)]
+    hosts += twin_hosts(rng, 50, (9, 13), 15)
+    assert all(10 <= g.n <= 15 for g in hosts)
+    assert {g.n for g in hosts} == set(range(10, 16))
     pool = hosts + [relabelled(g, rng) for g in hosts]
     keys = [canonical_key(g) for g in pool]
     for g, key in zip(pool, keys):
+        if g.n >= 13:
+            assert _refinement_classes(g) == ref_refinement_classes(g)
         assert to_graph6(_from_columns(_canonical_columns(g))) == key
         for _ in range(3):
             assert canonical_key(relabelled(g, rng)) == key
