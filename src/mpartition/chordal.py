@@ -12,12 +12,14 @@ visit moves its neighbours there in one mask step; only a neighbour that
 is already labelled is handled on its own.  Most visits need less: a
 quiet visit, whose vertex has no unvisited neighbour, ends after the PEO
 check, and a single labelled neighbour moves alone into a new class just
-before its own, or stays if it is that class's only member.  Only two or
-more labelled neighbours go through the general split.  The edges that
-first label a vertex form a spanning forest, so the sweep takes a
-constant number of steps per vertex plus one per edge outside that
-forest (m - n + c of them for c components, none on a forest), each a
-bitset operation on n-bit ints.
+before its own, or stays if it is that class's only member.  A class
+just before the head would be visited at once, so a single neighbour
+that leaves the head class is simply the next visit, with no class
+built.  Only two or more labelled neighbours go through the general
+split.  The edges that first label a vertex form a spanning forest, so
+the sweep takes a constant number of steps per vertex plus one per edge
+outside that forest (m - n + c of them for c components, none on a
+forest), each a bitset operation on n-bit ints.
 Each visit also tests the vertex's earlier neighbours against the last
 of them.  A failed test yields a hole (a chordless cycle of length at
 least four) through the last failing vertex by one layer search.
@@ -90,7 +92,8 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
     # opened[f] that its one labeller f opened; class ids are never
     # reused.  parent[w], the last labeller, is only kept from the second
     # label on: it is read only for a vertex with two or more earlier
-    # neighbours.
+    # neighbours.  forced is the bit of a vertex already taken out of the
+    # head class to be the next visit, or 0.
     members = [(1 << n) - 1]
     prev = [-1]
     nxt = [-1]
@@ -98,31 +101,45 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
     opened = [0] * n
     parent = [-1] * n
     head = 0
+    forced = 0
     unvisited = (1 << n) - 1
     for _ in range(n):
-        first = members[head]
-        low = first & -first
+        if forced:  # the last visit's lone labelled neighbour
+            low = forced
+            forced = 0
+        else:
+            first = members[head]
+            low = first & -first
+            members[head] = first ^ low
+            if first == low:
+                head = nxt[head]
+                if head >= 0:
+                    prev[head] = -1
         v = low.bit_length() - 1
         order.append(v)
-        if head == 0 and adj[v]:  # no labelled vertex left: v starts a component
-            edge_components += 1
         unvisited ^= low
-        members[head] = first ^ low
-        if first == low:
-            head = nxt[head]
-            if head >= 0:
-                prev[head] = -1
         nb = adj[v] & unvisited
-        # the reverse is a PEO iff v's earlier neighbours see the last one, p
+        # the reverse is a PEO iff v's earlier neighbours see the last one, p;
+        # a quiet visit, with no neighbour left to label, ends after that
+        # (its own copy of the check spares most visits a mask step)
+        if not nb:
+            earlier = adj[v]
+            if earlier & (earlier - 1):
+                p = parent[v]
+                bad = earlier & ~(adj[p] | 1 << p)
+                if bad:
+                    failure = v, p, bad
+                cliques.append(earlier | low)
+            continue
         earlier = adj[v] ^ nb
-        if earlier & (earlier - 1):
+        if not earlier:  # v has a neighbour and none visited: a new component
+            edge_components += 1
+        elif earlier & (earlier - 1):
             p = parent[v]
             bad = earlier & ~(adj[p] | 1 << p)
             if bad:
                 failure = v, p, bad
             cliques.append(earlier | low)
-        if not nb:  # a quiet visit: no neighbour left to label
-            continue
         fresh = nb & members[0]
         if fresh:
             # v's unlabelled neighbours, a layer below v, move as one class
@@ -145,7 +162,10 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
                 continue
         if not nb & (nb - 1):
             # one labelled neighbour w: it moves alone into a new class just
-            # before its own, or stays if it is that class's only member
+            # before its own, or stays if it is that class's only member.  A
+            # class just before the head would be visited at once, so a w
+            # that leaves the head class is the next visit, with no class
+            # built; parent[w] = v stays for its PEO check
             w = nb.bit_length() - 1
             parent[w] = v
             c = cls[w]
@@ -153,16 +173,16 @@ def _lex_bfs(g: Graph) -> tuple[list[int], list[int], tuple | None, int, int]:
                 c = opened[((adj[w] & ~unvisited) ^ low).bit_length() - 1]
             if members[c] != nb:
                 members[c] ^= nb
+                if c == head:
+                    forced = nb
+                    continue
                 d = len(members)
                 members.append(nb)
-                q = prev[c]
+                q = prev[c]  # c is not the head, so q >= 0
                 prev.append(q)
                 nxt.append(c)
                 prev[c] = d
-                if q < 0:
-                    head = d
-                else:
-                    nxt[q] = d
+                nxt[q] = d
                 c = d
             cls[w] = c
             continue
@@ -539,7 +559,13 @@ def _least_simplicial(adj: list[int], simplicial: int) -> bool:
 def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
     """All connected chordal graphs with up to ``max_n`` vertices, one
     canonical representative per isomorphism class, in increasing order of
-    vertex count (canonical-key order within each count).
+    vertex count (canonical-key order within each count)."""
+    return (g for _, g in _keyed_connected_chordal(max_n))
+
+
+def _keyed_connected_chordal(max_n: int) -> Iterator[tuple[str, Graph]]:
+    """``enumerate_connected_chordal`` with each graph's canonical key, its
+    graph6 line, before it.
 
     Each level grows the one before by a new vertex x on each twin-prefix
     clique of each parent, and labels only the children in which x is a
@@ -560,7 +586,7 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
     if not 1 <= max_n <= MAX_ENUMERATION_N:
         raise ValueError(f"max_n must lie in 1..{MAX_ENUMERATION_N}")
     level = [Graph(1)]
-    yield from level
+    yield _graph6_from_columns(1, [0]), level[0]
     for n in range(2, max_n + 1):
         grown: set[tuple[int, ...]] = set()
         top = 1 << (n - 1)
@@ -575,4 +601,4 @@ def enumerate_connected_chordal(max_n: int) -> Iterator[Graph]:
                     grown.add(tuple(_canonical_columns(Graph._from_adj(child_adj))))
         keyed = sorted((_graph6_from_columns(n, cols), cols) for cols in grown)
         level = [_from_columns(cols) for _, cols in keyed]
-        yield from level
+        yield from zip([key for key, _ in keyed], level)

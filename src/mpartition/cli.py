@@ -31,7 +31,7 @@ from .catalogue import (
     obstruction_graph,
     obstruction_size,
 )
-from .chordal import MAX_ENUMERATION_N, enumerate_connected_chordal, random_chordal
+from .chordal import MAX_ENUMERATION_N, _keyed_connected_chordal, random_chordal
 from .graph import (
     MAX_VERTICES,
     Graph,
@@ -329,10 +329,10 @@ def _certify_checked(report: RunReport, g: Graph) -> M1Certificate | None:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     report = RunReport(command="enumerate")
     started = time.monotonic()
-    for g in enumerate_connected_chordal(args.max_n):
+    for key, g in _keyed_connected_chordal(args.max_n):
         report.record(g.n)
         if not args.verify:
-            print(to_graph6(g))
+            print(key)
             continue
         cert = _certify_checked(report, g)
         if cert is None:

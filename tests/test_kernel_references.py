@@ -2108,6 +2108,54 @@ def test_sweep_matches_references_on_large_hosts():
     assert holed == [False, False, True, False, False, True, False, True]
 
 
+def lone_neighbour_hosts():
+    """Pairs of a host and the host with one edge added.  A hub over spoke
+    paths with pendants on the even positions, and a relabelled Fan(30)
+    host with 30 bare spoke paths, each with an edge between two
+    pendants (a 5-hole through the hub); a star with an edge between two
+    leaves (a triangle); a long path and the cycle that closes it; 40
+    isolated vertices before and after the first hub host."""
+    paths = [list(range(i, i + 20)) for i in range(0, 400, 20)]
+    hub = hub_host(paths, [v for path in paths for v in path[::2]])
+    # pendants 400 (on spoke 0) and 599 (on spoke 398), hub 600
+    hub_e = Graph(hub.n, hub.edges() + [(400, 599)])
+    fan_paths = [list(range(60))] + [list(range(i, i + 10)) for i in range(60, 360, 10)]
+    fan = hub_host(fan_paths, [0, 59])
+    fan_e = Graph(fan.n, fan.edges() + [(360, 361)])
+    n = 300
+    path = path_graph(n)
+    iso = Graph(40)
+    return [
+        (hub, hub_e),
+        (relabelled(fan, random.Random(30)), relabelled(fan_e, random.Random(30))),
+        (star(n, 150), Graph(n, star(n, 150).edges() + [(1, 2)])),
+        (path, Graph(n, path.edges() + [(0, n - 1)])),
+        (disjoint_union(iso, hub), disjoint_union(iso, hub_e)),
+        (disjoint_union(hub, iso), disjoint_union(hub_e, iso)),
+    ]
+
+
+def test_sweep_matches_references_where_lone_neighbours_leave_the_head():
+    # A visit whose one labelled neighbour w shares the head class makes
+    # w the next visit, with no class built.  Each spoke visit on a hub
+    # host leaves the next spoke of its path in the hub's class of
+    # spokes, so that fires 378 times on the hub host and 154 on the
+    # Fan(30) host, and as often with the edge added, where the hole
+    # search then runs; the star with its triangle fires it once, and the
+    # path and the star alone have only quiet and fresh moves.  The
+    # Hypothesis references reach 40 vertices only.
+    holed = []
+    for pair in lone_neighbour_hosts():
+        for g in pair:
+            assert _lex_bfs(g)[0] == ref_lex_bfs(g)
+            cert = is_chordal(g)
+            assert (cert.peo, cert.hole) == ref_is_chordal(
+                g, lambda g, hint: _hole_through(g, *hint))
+            assert cert == ref_two_pass_is_chordal(g)
+            holed.append(not cert)
+    assert holed == [False, True] * 2 + [False, False] + [False, True] * 3
+
+
 def test_hole_comes_from_the_last_failing_vertex():
     # two 4-cycles 0-1-2-3 and 2-4-5-6 sharing vertex 2: LexBFS visits
     # 0, 1, 3, 2, 4, 6, 5, and the check fails at 2 and again at 5
