@@ -48,7 +48,8 @@ from .graph import (
     to_edgelist,
     to_graph6,
 )
-from .patterns import M1, Pattern, assignment_parts, is_minimal_obstruction, solve
+from .patterns import (M1, Pattern, _cells_hold, assignment_parts, is_minimal_obstruction,
+                       solve)
 from .solver import M1Certificate, NotChordalError, solve_certifying, verify_certificate
 
 EXIT_YES = 0
@@ -174,7 +175,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         problem = cert
     elif cert.witness is not None:  # the library check, on the witness's own edges
         problem = verify_certificate(Graph(edges.n, edges.among(cert.witness[1])), cert)
-    elif _holds(edges, cert):
+    elif _cells_hold(M1, [*map(cert.assignment.count, range(3))],
+                     edges.cells(cert.assignment)):  # the library's yes-rule
         problem = None
     else:  # the library verifier names the fault, on the graph already parsed
         problem = verify_certificate(edges.graph(), cert)
@@ -222,15 +224,6 @@ def _read_edges(text: str, fmt: str) -> _Edges:
                 if u in vertices and v in vertices]
 
     return _Edges(n, cells, among, functools.partial(_edgelist_graph, n, keys))
-
-
-def _holds(edges: _Edges, cert: M1Certificate) -> bool:
-    """Does the yes-partition of ``cert`` hold on the graph of ``edges``?
-    It does iff no edge lies inside a part (M1's 0 diagonal) and
-    |P1|·|P2| edges join parts 1 and 2 (M1's 1 cell)."""
-    part = cert.assignment
-    (c00, _, _), (_, c11, c12), (_, c21, c22) = edges.cells(part)
-    return not (c00 or c11 or c22) and c12 + c21 == part.count(1) * part.count(2)
 
 
 def _is_int_list(value: object) -> bool:

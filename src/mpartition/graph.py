@@ -349,6 +349,8 @@ def _edgelist_keys(text: str) -> tuple[int, set[int]]:
         n, m = map(int, lines[0].split())
     except ValueError:
         raise ValueError(f"bad edge-list header: {lines[0]!r}") from None
+    if n < 0:
+        raise ValueError("vertex count must be non-negative")
     if n > MAX_VERTICES:  # checked before Graph allocates n masks
         raise ValueError(
             f"edge list has {n} vertices, at most {MAX_VERTICES} supported"
@@ -375,8 +377,6 @@ def _edgelist_graph(n: int, keys: Iterable[int]) -> Graph:
     """The n-vertex graph whose edges are the keys of ``_edgelist_keys``,
     which already checked their ends: the masks are filled straight from
     the keys."""
-    if n < 0:
-        return Graph(n)  # raises the constructor's error
     masks = [0] * n
     for key in keys:
         u, v = divmod(key, n)

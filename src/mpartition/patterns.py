@@ -7,14 +7,16 @@ cells therefore force a part to be a clique (1) or an independent set (0).
 Star diagonals are rejected at construction: a part without restrictions
 could swallow the whole graph, making every instance trivially solvable.
 
-``verify_assignment`` and ``solve``, an exhaustive backtracking oracle
-for small graphs, work on demand masks: per part, the vertices its
-members must see (those of the parts in its row's 1 cells) and must miss
-(its 0 cells).  The verifier decides by testing each part's members
-against its demands in C-level passes; its scan, which only names the
-first violating pair, and the search share one test: vertex v fits part
-i iff ``must_see[i] & ~adj[v]`` and ``must_miss[i] & adj[v]`` are both
-empty.
+A partition satisfies a pattern iff each cell's edge count is right: none
+in a 0 cell, every pair of its parts in a 1 cell (``_cells_hold``, which
+``mpartition verify`` applies to counts taken from the graph's text).
+``verify_assignment`` counts on the bitsets; only a rejected partition
+gets the demand masks, per part the vertices its members must see (those
+of the parts in its row's 1 cells) and must miss (its 0 cells), for a
+scan that names the first violating pair.  ``solve``, an exhaustive
+backtracking oracle for small graphs, keeps the same masks as it places
+vertices: v fits part i iff ``must_see[i] & ~adj[v]`` and
+``must_miss[i] & adj[v]`` are both empty.
 """
 
 from __future__ import annotations
@@ -107,15 +109,33 @@ def verify_assignment(
     """None if the assignment satisfies the pattern, else the first violation.
 
     The assignment must place every vertex in a valid part; parts may be
-    empty.  ``_unmet_demands`` builds the masks once and decides at every
-    pattern width; the scan only names the first violating pair.
+    empty.  Each cell's edges are counted once, from its part with fewer
+    members, in one C-level pass over that part's neighbourhoods, and
+    ``_cells_hold`` decides; the scan only names the first violating pair.
     """
     if len(assignment) != g.n:
         raise ValueError(f"assignment covers {len(assignment)} of {g.n} vertices")
-    demands = _unmet_demands(g, pattern, assignment)
-    if demands is None:
+    m = pattern.m
+    masks = _part_masks(assignment, m)
+    sizes = [mask.bit_count() for mask in masks]
+    counts = [[0] * m for _ in range(m)]
+    ahead = []  # parts go largest first: the parts visited so far
+    for i in sorted(range(m), key=sizes.__getitem__, reverse=True):
+        if not sizes[i]:  # nor has any part after it a member
+            break
+        ahead.append(i)
+        members = list(compress(g.adj, selector(g.n, masks[i])))
+        row, cells = pattern.cells[i], counts[i]
+        for j in ahead:
+            if row[j] != STAR:  # a 0 cell's ANDs are all zero in a valid partition
+                meets = filter(None, map(and_, members, repeat(masks[j])))
+                cells[j] = sum(map(int.bit_count, meets))
+        cells[i] //= 2  # an edge inside the part is met from both its ends
+    if _cells_hold(pattern, sizes, counts):
         return None
-    must_see, must_miss = demands
+    # the parts are disjoint, so the sum of their masks is their union
+    must_see = [sum(masks[j] for j, c in enumerate(row) if c == ONE) for row in pattern.cells]
+    must_miss = [sum(masks[j] for j, c in enumerate(row) if c == ZERO) for row in pattern.cells]
     for u, i in enumerate(assignment):
         nb = g.adj[u]
         bad = (must_see[i] & ~nb | must_miss[i] & nb) >> (u + 1)
@@ -126,60 +146,45 @@ def verify_assignment(
     raise RuntimeError("internal error: a part fails but no pair violates it")
 
 
-def _unmet_demands(
-    g: Graph, pattern: Pattern, assignment: Sequence[int]
-) -> tuple[list[int], list[int]] | None:
-    """None if every part meets its row of the pattern, else the demand
-    masks: per part, the vertices its members must see, and must miss.
+def _cells_hold(
+    pattern: Pattern, sizes: Sequence[int], edges: Sequence[Sequence[int]]
+) -> bool:
+    """Does a partition with parts of ``sizes`` members satisfy ``pattern``,
+    given ``edges[i][j] + edges[j][i]`` edges between parts i != j and
+    ``edges[i][i]`` inside part i?  A 0 cell holds iff it has no edge, a 1
+    cell iff it has every pair: |Pi|·|Pj|, or |Pi|(|Pi| - 1)/2 on the
+    diagonal.  So a cell with an empty part always holds."""
+    for i, row in enumerate(pattern.cells):
+        for j in range(i + 1):
+            if row[j] == STAR:
+                continue
+            if i == j:
+                count, pairs = edges[i][i], sizes[i] * (sizes[i] - 1) // 2
+            else:
+                count, pairs = edges[i][j] + edges[j][i], sizes[i] * sizes[j]
+            if count != (pairs if row[j] == ONE else 0):
+                return False
+    return True
 
-    The part masks are read off the assignment's bytes when every part
-    fits in one, else vertex by vertex, raising for the first vertex in an
-    invalid part.  Each part is checked against the cells it decides: no
-    member's neighbourhood may meet a part of a 0 cell, and every member's
-    must cover each other part of a 1 cell, each test one C-level pass
-    over the members that stops at the first failing one and builds no
-    n-bit union; a 1 on the diagonal is checked by counting the edges
-    inside the part.
-    """
-    m = pattern.m
+
+def _part_masks(assignment: Sequence[int], m: int) -> list[int]:
+    """The vertex mask of each of the m parts of ``assignment``: read off
+    its bytes when every part fits in one, else vertex by vertex, raising
+    for the first vertex in an invalid part."""
     try:
         digits = bytes(assignment)[::-1]
     except (TypeError, ValueError):  # a part outside range(256)
         digits = None
     if digits is not None and max(digits, default=0) < m:
         # no vertex is in a part past the byte, so those parts are empty
-        masks = [int(b"0" + digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2)
-                 for i in range(min(m, 256))] + [0] * (m - 256)
-    else:
-        masks = [0] * m
-        for v, part in enumerate(assignment):
-            if not 0 <= part < m:
-                raise ValueError(f"vertex {v} assigned to invalid part {part}")
-            masks[part] |= 1 << v
-    must_see, must_miss = [0] * m, [0] * m
-    for i, row in enumerate(pattern.cells):
-        for j, cell in enumerate(row):
-            if cell == ONE:
-                must_see[i] |= masks[j]
-            elif cell == ZERO:
-                must_miss[i] |= masks[j]
-    # a cell between two parts holds iff it holds from either side, so it is
-    # decided once, from the part with fewer members (the lower on a tie)
-    ahead = 0  # parts go largest first: the parts visited so far
-    for i in sorted(range(m), key=lambda i: (masks[i].bit_count(), i), reverse=True):
-        ahead |= masks[i]
-        see, miss, own = must_see[i] & ahead, must_miss[i] & ahead, masks[i]
-        members = list(compress(g.adj, selector(g.n, own)))
-        if miss and any(map(and_, members, repeat(miss))):
-            return must_see, must_miss
-        need = see & ~own
-        if need and not all(map(need.__eq__, map(and_, members, repeat(need)))):
-            return must_see, must_miss
-        if see & own:  # a clique: each of its k members sees the other k - 1
-            k = len(members)
-            if sum(map(int.bit_count, map(and_, members, repeat(own)))) != k * (k - 1):
-                return must_see, must_miss
-    return None
+        return [int(b"0" + digits.translate(b"0" * i + b"1" + b"0" * (255 - i)), 2)
+                for i in range(min(m, 256))] + [0] * (m - 256)
+    masks = [0] * m
+    for v, part in enumerate(assignment):
+        if not 0 <= part < m:
+            raise ValueError(f"vertex {v} assigned to invalid part {part}")
+        masks[part] |= 1 << v
+    return masks
 
 
 def solve(g: Graph, pattern: Pattern) -> Assignment | None:

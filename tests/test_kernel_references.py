@@ -105,7 +105,7 @@ from mpartition.solver import (
     _triangle_witness,
     _yes,
 )
-from mpartition.patterns import ONE, STAR, _unmet_demands
+from mpartition.patterns import ONE, STAR, _cells_hold
 
 from auxiliary import complete_graph, cycle_graph, disjoint_union, path_graph
 
@@ -246,6 +246,17 @@ def ref_verify_assignment(g, pattern, assignment):
             if (cell == ONE) != g.has_edge(u, v):
                 return PartitionViolation(u, v, assignment[u], assignment[v], cell)
     return None
+
+
+def ref_cell_counts(g, m, assignment):
+    """The part sizes of an m-part assignment, and its edges counted pair
+    by pair: ``counts[i][j]`` edges (u, v), u < v, have u in part i and v
+    in part j."""
+    sizes = [list(assignment).count(i) for i in range(m)]
+    counts = [[0] * m for _ in range(m)]
+    for u, v in g.edges():
+        counts[assignment[u]][assignment[v]] += 1
+    return sizes, counts
 
 
 def ref_induced(g, s):
@@ -389,12 +400,13 @@ def assignment_cases(draw):
 @example((DIAG_ONE, Graph(2), [1, 1]))
 @example((M1, complete_graph(3), [0, 1, 2]))  # one vertex per part: valid
 def test_verify_assignment_matches_reference(case):
-    # the whole-part check answers None exactly when the pairwise scan
-    # does, and a failure names the same first pair
+    # the cell rule accepts exactly when the pairwise scan finds no pair,
+    # and a failure names the same first pair
     pattern, g, assignment = case
     expected = ref_verify_assignment(g, pattern, assignment)
     assert verify_assignment(g, pattern, assignment) == expected
-    assert (_unmet_demands(g, pattern, assignment) is None) == (expected is None)
+    holds = _cells_hold(pattern, *ref_cell_counts(g, pattern.m, assignment))
+    assert holds == (expected is None)
 
 
 def test_verify_assignment_matches_reference_on_large_hubs():
@@ -417,7 +429,7 @@ def test_verify_assignment_matches_reference_on_large_hubs():
             expected = ref_verify_assignment(h, M1, a)
             assert (expected is not None) == violated
             assert verify_assignment(h, M1, a) == expected
-            assert (_unmet_demands(h, M1, a) is None) == (expected is None)
+            assert _cells_hold(M1, *ref_cell_counts(h, 3, a)) == (expected is None)
 
 
 @settings(max_examples=200, deadline=None)

@@ -100,11 +100,12 @@ def test_verify_wide_pattern_scans_for_the_first_pair():
 
 
 def test_verify_scan_never_decides(monkeypatch):
-    # the whole-part check decides; demands no pair violates are an
-    # internal error, not a valid assignment
-    monkeypatch.setattr(patterns, "_unmet_demands", lambda *args: ([0] * 3, [0] * 3))
+    # the cell rule decides; a rejection of a valid assignment, which the
+    # scan finds no pair to name, is an internal error, not a violation
+    assert verify_assignment(complete_graph(2), M1, (1, 2)) is None
+    monkeypatch.setattr(patterns, "_cells_hold", lambda *args: False)
     with pytest.raises(RuntimeError, match="internal error"):
-        verify_assignment(complete_graph(2), M1, (0, 0))
+        verify_assignment(complete_graph(2), M1, (1, 2))
 
 
 def test_verify_argument_errors():

@@ -1,8 +1,9 @@
 """``mpartition verify`` parses the graph's text once and keeps no copy
 of the library's checks.  A yes-partition is decided without the host's
-bitsets, by counting the edges between its parts in one pass; a rejected
-one is handed to ``verify_certificate`` on the host decoded from that
-parse, so that the library names the fault.  A witness is handed to
+bitsets: one pass counts the edges between its parts, and the library's
+one yes-rule (``patterns._cells_hold``) reads the counts.  A rejected
+partition is handed to ``verify_certificate`` on the host decoded from
+that parse, so that the library names the fault.  A witness is handed to
 ``verify_certificate`` on a graph that holds only the edges among its
 own vertices.  These tests hold the CLI to the library path: read the
 graph, then ``verify_certificate``."""
@@ -238,6 +239,20 @@ def test_a_bad_edge_is_an_input_error_before_the_certificate(tmp_path):
             2, "", f"error: {message}\n")
 
 
+def test_a_negative_vertex_count_is_an_input_error(tmp_path, capsys):
+    # check, and verify with a yes and with a no document, each exit 2
+    # with Graph's message, before the certificate is read
+    path = tmp_path / "g.txt"
+    path.write_text("-1 0\n")
+    error = "error: vertex count must be non-negative\n"
+    assert main(["check", "--format", "edgelist", str(path)]) == 2
+    assert capsys.readouterr() == ("", error)
+    for doc in (yes_doc([[], [], []]), no_doc("F1", [0, 1, 2, 3, 4])):
+        cert = tmp_path / "cert.json"
+        cert.write_text(doc)
+        assert run_verify(["--format", "edgelist", str(path), str(cert)]) == (2, "", error)
+
+
 class OnceOnlyStdin(io.StringIO):
     """Standard input that may be read once."""
 
@@ -288,7 +303,7 @@ def test_a_rejection_the_library_verifier_does_not_share_is_an_internal_error(
     cert.write_text(yes_doc([[0, 2], [1, 3], []]))
     assert main(["verify", str(path), str(cert)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr("mpartition.cli._holds", lambda edges, cert: False)
+    monkeypatch.setattr("mpartition.cli._cells_hold", lambda *args: False)
     with pytest.raises(RuntimeError, match="internal error"):
         main(["verify", str(path), str(cert)])
     assert capsys.readouterr().out == ""
