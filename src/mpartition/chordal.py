@@ -390,16 +390,17 @@ def _refinement_classes(g: Graph) -> list[list[int]]:
 
 
 def _lower_twins(adj: tuple[int, ...]) -> list[int]:
-    """twin[b]: b's highest twin below it, or -1.  False twins share their
-    neighbourhood and true twins their closed one; no vertex's
-    neighbourhood is another's closed one, so one dict holds both.  Twins
-    are an equivalence (a vertex with a true twin has no false twin)."""
-    twin = [-1] * len(adj)
+    """twin[b]: the bit 1 << a of b's highest twin a below it, or 0.  False
+    twins share their neighbourhood and true twins their closed one; no
+    vertex's neighbourhood is another's closed one, so one dict holds both.
+    Twins are an equivalence (a vertex with a true twin has no false twin)."""
+    twin = [0] * len(adj)
     last: dict[int, int] = {}
     for b, m in enumerate(adj):
-        for key in (m, m | 1 << b):
+        bit = 1 << b
+        for key in (m, m | bit):
             twin[b] = last.get(key, twin[b])
-            last[key] = b
+            last[key] = bit
     return twin
 
 
@@ -437,9 +438,9 @@ def _canonical_columns(g: Graph) -> list[int]:
             placed |= 1 << v
         return cols
     slot_class = [cls for cls in classes for _ in cls]
-    # twins share a refinement class; b may be placed once twin[b] is, so
-    # b is free iff placed & guard[b] is twin[b]
-    twin = [1 << a if a >= 0 else 0 for a in _lower_twins(adj)]
+    # twins share a refinement class; b may be placed once its lower twin,
+    # the bit twin[b], is, so b is free iff placed & guard[b] is twin[b]
+    twin = _lower_twins(adj)
     guard = [1 << b | t for b, t in enumerate(twin)]
     best: list[int] | None = None
 
@@ -505,7 +506,7 @@ def _nonempty_cliques(g: Graph) -> Iterator[int]:
     to either gives isomorphic graphs.
     """
     adj = g.adj
-    lead = [1 << a if a >= 0 else 0 for a in _lower_twins(adj)]
+    lead = _lower_twins(adj)
     stack = [(1 << v, adj[v] & ~((1 << (v + 1)) - 1))
              for v in range(g.n) if not lead[v]]
     while stack:

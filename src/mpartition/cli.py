@@ -20,8 +20,6 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
-from typing import Callable, NamedTuple, Sequence
 
 from .catalogue import (
     FINITE_MINIMAL_TAGS,
@@ -35,15 +33,10 @@ from .chordal import MAX_ENUMERATION_N, _keyed_connected_chordal, random_chordal
 from .graph import (
     MAX_VERTICES,
     Graph,
-    VertexSet,
-    _edgelist_graph,
+    _EdgeListKeys,
     _edgelist_keys,
-    _graph6_cell_counts,
+    _Graph6Field,
     _graph6_field,
-    _graph6_graph,
-    _graph6_pairs_among,
-    from_edgelist,
-    from_graph6,
     to_dot,
     to_edgelist,
     to_graph6,
@@ -135,9 +128,13 @@ def _read_text(path: str) -> str:
 
 
 @_reader
+def _read_edges(text: str, fmt: str) -> _Graph6Field | _EdgeListKeys:
+    """The parse of ``text`` in ``fmt``, which holds each edge once."""
+    return _edgelist_keys(text) if fmt == "edgelist" else _graph6_field(text)
+
+
 def _read_graph(path: str, fmt: str) -> Graph:
-    text = _read_text(path)
-    return from_edgelist(text) if fmt == "edgelist" else from_graph6(text)
+    return _read_edges(_read_text(path), fmt).graph()
 
 
 def _emit_graph(g: Graph, fmt: str) -> str:
@@ -185,45 +182,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                "count but verify_certificate finds no fault")
     print(json.dumps({"valid": problem is None, "reason": problem}, sort_keys=True))
     return EXIT_YES if problem is None else EXIT_NO
-
-
-class _Edges(NamedTuple):
-    """A graph's text as ``verify`` reads it, parsed once and without its
-    bitsets: the vertex count, the edge counts between the parts of a
-    3-part assignment (``cells(part)[a][b]`` edges (u, v), u < v, have v in
-    part a and u in part b), the edges (u, v), u < v, with both ends in a
-    vertex set (``among(vertices)``), and the graph, built on demand
-    (``graph()``)."""
-
-    n: int
-    cells: Callable[[Sequence[int]], list[list[int]]]
-    among: Callable[[VertexSet], list[tuple[int, int]]]
-    graph: Callable[[], Graph]
-
-
-@_reader
-def _read_edges(text: str, fmt: str) -> _Edges:
-    """The edges of ``text``, raising what ``from_graph6`` or
-    ``from_edgelist`` raises on it.  A graph6 field and a deduplicated
-    edge list hold each edge once."""
-    if fmt == "graph6":
-        data, kinds, n, pos = _graph6_field(text)
-        return _Edges(n, functools.partial(_graph6_cell_counts, data, kinds, pos),
-                      functools.partial(_graph6_pairs_among, data, kinds, pos),
-                      functools.partial(_graph6_graph, data, kinds, n, pos))
-    n, keys = _edgelist_keys(text)
-
-    def cells(part: Sequence[int]) -> list[list[int]]:
-        counts = [[0] * 3 for _ in range(3)]
-        for u, v in map(divmod, keys, repeat(n)):
-            counts[part[v]][part[u]] += 1
-        return counts
-
-    def among(vertices: VertexSet) -> list[tuple[int, int]]:
-        return [(u, v) for u, v in map(divmod, keys, repeat(n))
-                if u in vertices and v in vertices]
-
-    return _Edges(n, cells, among, functools.partial(_edgelist_graph, n, keys))
 
 
 def _is_int_list(value: object) -> bool:

@@ -22,9 +22,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import reduce
-from itertools import compress
+from itertools import compress, repeat
 from operator import or_
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 VertexSet = frozenset[int]
 
@@ -173,35 +173,93 @@ class Graph6Error(ValueError):
 
 def from_graph6(text: str) -> Graph:
     """Decode one line of graph6 into a :class:`Graph`."""
-    return _graph6_graph(*_graph6_field(text))
+    return _graph6_field(text).graph()
 
 
-def _graph6_graph(data: bytes, kinds: bytes, n: int, pos: int) -> Graph:
-    """The graph of a checked graph6 field (``_graph6_field``)."""
-    adj = [0] * n
-    pairs = _G6_PAIRS
-    find = kinds.find
-    k = find(1, pos)  # the padding is zero: no digit holds a pair past the last
-    j = 0
-    end = 6 * pos  # pairs are counted from the text's first digit
-    while k >= 0:
-        first = 6 * k
-        for i in pairs[data[k]]:
-            i += first
-            while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
-                j += 1
-                end += j
-            u = i - end + j
-            adj[u] |= 1 << j
-            adj[j] |= 1 << u
-        k = find(1, k + 1)
-    return Graph._from_adj(adj)
+class _Graph6Field(NamedTuple):
+    """One line of graph6, checked (``_graph6_field``): its bytes, their
+    ``_G6_KIND`` kinds, the vertex count n and the index of the first
+    digit of the bit field.  Its three readings visit only the digits
+    other than '?'; ``_EdgeListKeys`` has the same three."""
+
+    data: bytes
+    kinds: bytes
+    n: int
+    pos: int
+
+    def graph(self) -> Graph:
+        """The graph of the field."""
+        data, kinds, n, pos = self
+        adj = [0] * n
+        pairs = _G6_PAIRS
+        find = kinds.find
+        k = find(1, pos)  # the padding is zero: no digit holds a pair past the last
+        j = 0
+        end = 6 * pos  # pairs are counted from the text's first digit
+        while k >= 0:
+            first = 6 * k
+            for i in pairs[data[k]]:
+                i += first
+                while i >= end:  # column j holds the pairs (0, j) .. (j-1, j)
+                    j += 1
+                    end += j
+                u = i - end + j
+                adj[u] |= 1 << j
+                adj[j] |= 1 << u
+            k = find(1, k + 1)
+        return Graph._from_adj(adj)
+
+    def cells(self, part: Sequence[int]) -> list[list[int]]:
+        """The edges per pair of parts of the 3-part assignment ``part``:
+        ``counts[a][b]`` edges (u, j), u < j, have j in part a and u in
+        part b.  The walk is ``graph``'s, with no bitset built; the count
+        row of column j and the offset of its pair (0, j) change only with
+        the column."""
+        data, kinds, _, pos = self
+        counts = [[0] * 3 for _ in range(3)]
+        pairs = _G6_PAIRS
+        find = kinds.find
+        k = find(1, pos)
+        j = 0
+        end = 6 * pos
+        row, base = counts[0], 0  # set again at the first pair, which opens a column
+        while k >= 0:
+            first = 6 * k
+            for i in pairs[data[k]]:
+                i += first
+                if i >= end:
+                    while i >= end:
+                        j += 1
+                        end += j
+                    row, base = counts[part[j]], j - end
+                row[part[i + base]] += 1
+            k = find(1, k + 1)
+        return counts
+
+    def among(self, vertices: VertexSet) -> list[tuple[int, int]]:
+        """The edges (u, j), u < j, with both ends in ``vertices``, read
+        off each member j's own column (0, j) .. (j-1, j)."""
+        data, kinds, _, pos = self
+        out = []
+        pairs = _G6_PAIRS
+        find = kinds.find
+        for j in vertices:
+            start = 6 * pos + j * (j - 1) // 2  # the pair (0, j), from the text's start
+            stop = (start + j + 5) // 6  # past the digit of the pair (j-1, j)
+            k = find(1, start // 6, stop)
+            while k >= 0:
+                first = 6 * k - start
+                for i in pairs[data[k]]:
+                    u = first + i
+                    if 0 <= u < j and u in vertices:
+                        out.append((u, j))
+                k = find(1, k + 1, stop)
+        return out
 
 
-def _graph6_field(text: str) -> tuple[bytes, bytes, int, int]:
-    """One line of graph6, checked: its bytes, their ``_G6_KIND`` kinds,
-    the vertex count n and the index of the first digit of the bit field.
-    Raises :class:`Graph6Error` for a malformed line."""
+def _graph6_field(text: str) -> _Graph6Field:
+    """One line of graph6, checked.  Raises :class:`Graph6Error` for a
+    malformed line."""
     s = text.strip().removeprefix(_GRAPH6_HEADER)
     lead = len(text.rstrip()) - len(s)  # where s starts in text
 
@@ -246,59 +304,7 @@ def _graph6_field(text: str) -> tuple[bytes, bytes, int, int]:
         raise error(f"illegal character {data[i]:#x} in bit field", i)
     if nbytes and (data[-1] - 63) & ((1 << (nbytes * 6 - npairs)) - 1):
         raise error("nonzero padding bits", pos + nbytes - 1)
-    return data, kinds, n, pos
-
-
-def _graph6_cell_counts(
-    data: bytes, kinds: bytes, pos: int, part: Sequence[int]
-) -> list[list[int]]:
-    """The edges of a checked graph6 field (``_graph6_field``) per pair of
-    parts of the 3-part assignment ``part``: ``counts[a][b]`` edges (u, j),
-    u < j, have j in part a and u in part b.  The walk is ``_graph6_graph``'s,
-    with no bitset built; the count row of column j and the offset of its
-    pair (0, j) change only with the column."""
-    counts = [[0] * 3 for _ in range(3)]
-    pairs = _G6_PAIRS
-    find = kinds.find
-    k = find(1, pos)
-    j = 0
-    end = 6 * pos
-    row, base = counts[0], 0  # set again at the first pair, which opens a column
-    while k >= 0:
-        first = 6 * k
-        for i in pairs[data[k]]:
-            i += first
-            if i >= end:
-                while i >= end:
-                    j += 1
-                    end += j
-                row, base = counts[part[j]], j - end
-            row[part[i + base]] += 1
-        k = find(1, k + 1)
-    return counts
-
-
-def _graph6_pairs_among(
-    data: bytes, kinds: bytes, pos: int, vertices: VertexSet
-) -> list[tuple[int, int]]:
-    """The edges (u, j), u < j, of a checked graph6 field with both ends
-    in ``vertices``, read off each member j's own column (0, j) ..
-    (j-1, j), whose digits other than '?' alone are visited."""
-    out = []
-    pairs = _G6_PAIRS
-    find = kinds.find
-    for j in vertices:
-        start = 6 * pos + j * (j - 1) // 2  # the pair (0, j), from the text's start
-        stop = (start + j + 5) // 6  # past the digit of the pair (j-1, j)
-        k = find(1, start // 6, stop)
-        while k >= 0:
-            first = 6 * k - start
-            for i in pairs[data[k]]:
-                u = first + i
-                if 0 <= u < j and u in vertices:
-                    out.append((u, j))
-            k = find(1, k + 1, stop)
-    return out
+    return _Graph6Field(data, kinds, n, pos)
 
 
 def to_graph6(g: Graph) -> str:
@@ -335,13 +341,45 @@ def _graph6_from_columns(n: int, columns: Iterable[int]) -> str:
 
 def from_edgelist(text: str) -> Graph:
     """Parse the 'n m' + one 'u v' line per edge format (0-based ids)."""
-    return _edgelist_graph(*_edgelist_keys(text))
+    return _edgelist_keys(text).graph()
 
 
-def _edgelist_keys(text: str) -> tuple[int, set[int]]:
-    """The vertex count n of an edge-list text and its edges, each once,
-    as the keys u * n + v of their ends u < v.  Every line is read before
-    the first bad edge raises ``Graph``'s error for it; no bitset is built."""
+class _EdgeListKeys(NamedTuple):
+    """An edge-list text, checked (``_edgelist_keys``): the vertex count n
+    and its edges, each once, as the keys u * n + v of their ends u < v.
+    Its three readings are ``_Graph6Field``'s."""
+
+    n: int
+    keys: set[int]
+
+    def graph(self) -> Graph:
+        """The graph of the edges, whose ends are already checked: the
+        masks are filled straight from the keys."""
+        n = self.n
+        masks = [0] * n
+        for key in self.keys:
+            u, v = divmod(key, n)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return Graph._from_adj(masks)
+
+    def cells(self, part: Sequence[int]) -> list[list[int]]:
+        """``_Graph6Field.cells``: ``counts[a][b]`` edges (u, v), u < v,
+        have v in part a and u in part b."""
+        counts = [[0] * 3 for _ in range(3)]
+        for u, v in map(divmod, self.keys, repeat(self.n)):
+            counts[part[v]][part[u]] += 1
+        return counts
+
+    def among(self, vertices: VertexSet) -> list[tuple[int, int]]:
+        """The edges (u, v), u < v, with both ends in ``vertices``."""
+        return [(u, v) for u, v in map(divmod, self.keys, repeat(self.n))
+                if u in vertices and v in vertices]
+
+
+def _edgelist_keys(text: str) -> _EdgeListKeys:
+    """An edge-list text, checked.  Every line is read before the first
+    bad edge raises ``Graph``'s error for it; no bitset is built."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty edge-list text")
@@ -370,19 +408,7 @@ def _edgelist_keys(text: str) -> tuple[int, set[int]]:
             bad = _bad_edge(n, u, v)
     if bad is not None:
         raise bad
-    return n, keys
-
-
-def _edgelist_graph(n: int, keys: Iterable[int]) -> Graph:
-    """The n-vertex graph whose edges are the keys of ``_edgelist_keys``,
-    which already checked their ends: the masks are filled straight from
-    the keys."""
-    masks = [0] * n
-    for key in keys:
-        u, v = divmod(key, n)
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return Graph._from_adj(masks)
+    return _EdgeListKeys(n, keys)
 
 
 def to_edgelist(g: Graph) -> str:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpartition import fan, fan_kind, to_graph6
+from mpartition import NotChordalError, fan, fan_kind, to_graph6
 from mpartition.cli import main
 
 from auxiliary import complete_graph, cycle_graph, path_graph
@@ -77,7 +77,7 @@ def test_check_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch):
     def exhausted(text):
         raise MemoryError
 
-    monkeypatch.setattr("mpartition.cli.from_edgelist", exhausted)
+    monkeypatch.setattr("mpartition.cli._edgelist_keys", exhausted)
     path = tmp_path / "p.txt"
     path.write_text("2 1\n0 1\n")
     code, out, err = run(capsys, "check", "--format", "edgelist", str(path))
@@ -414,6 +414,39 @@ def test_minimality_command(capsys):
     code, out, err = run(capsys, "minimality", "F7", "F0")
     assert code == 2 and out == ""
     assert err == "error: unknown obstruction tag 'F0'\n"
+
+
+def rejects_certificates(*args, **kwargs):
+    raise RuntimeError("internal error: certificate check failed")
+
+
+def rejects_chordality(*args, **kwargs):
+    raise NotChordalError((0, 1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "argv, target, stand_in, failure",
+    [
+        (["enumerate", "--max-n", "1", "--verify"], "solve", lambda g, pattern: None,
+         {"graph6": "@", "kind": "disagreement",
+          "detail": "solver=True oracle=False scan=True"}),
+        (["random", "--n", "4"], "solve_certifying", rejects_certificates,
+         {"graph6": "C~", "kind": "invalid-certificate",
+          "detail": "internal error: certificate check failed"}),
+        (["random", "--n", "4"], "solve_certifying", rejects_chordality,
+         {"graph6": "C~", "kind": "not-chordal"}),
+        (["minimality", "F1"], "is_minimal_obstruction", lambda g, pattern: False,
+         {"graph6": "DwC", "kind": "minimality-mismatch", "detail": "F1: minimal=False"}),
+    ],
+)
+def test_batch_failures_are_reported(capsys, monkeypatch, argv, target, stand_in, failure):
+    # a failed check is one report entry naming the graph, and the run exits 1
+    monkeypatch.setattr(f"mpartition.cli.{target}", stand_in)
+    code, out, _ = run(capsys, *argv)
+    report = json.loads(out)
+    assert code == 1
+    assert report["failures"] == [failure]
+    assert report["checked"] == 1 and report["agreements"] == 0
 
 
 @pytest.mark.parametrize(

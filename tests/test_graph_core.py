@@ -71,6 +71,7 @@ def test_adjacency_is_symmetric_and_deduplicated():
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.has_edge(1, 0) and g.has_edge(0, 1)
     assert g.degree(1) == 2
+    assert repr(Graph(3, [(1, 0)])) == "Graph(3, [(0, 1)])"
 
 
 def test_self_loops_and_bad_vertices_rejected():
