@@ -477,36 +477,65 @@ def _pattern_order(h: Graph) -> list[int]:
 
 def _embed(g: Graph, h: Graph) -> dict[int, int] | None:
     """Injective map of h into g that preserves edges and non-edges.
-    Deterministic: candidates tried in ascending vertex order."""
+    Deterministic: candidates tried in ascending vertex order.
+
+    Step s places the s-th vertex x of ``_pattern_order(h)``.  Its plan
+    entry holds x's neighbours placed before it (``joined``), the bitset
+    of its earlier non-neighbours (``apart``, m of them) and the degree
+    its image needs.  A node ANDs the neighbourhoods of the joined images,
+    kept per placed vertex in ``near``, into its candidates, then rules out
+    those that see an image of ``apart`` in whichever way costs less: m
+    AND-NOTs if the candidates outnumber m, else one test per candidate,
+    which must see exactly ``len(joined)`` placed images.  An entry is made
+    when the search first reaches its step, so a search that fails early
+    plans only that far."""
     if h.n > g.n:
         return None
-    order = _pattern_order(h)
-    gdeg = [g.degree(v) for v in range(g.n)]
-    hdeg = [h.degree(v) for v in range(h.n)]
+    adj = g.adj
+    gdeg = [a.bit_count() for a in adj]
+
+    def entries() -> Iterator[tuple]:
+        placed = 0
+        for step, x in enumerate(_pattern_order(h)):
+            joined = tuple(bits(h.adj[x] & placed))
+            yield x, joined, len(joined), placed & ~h.adj[x], step - len(joined), h.degree(x)
+            placed |= 1 << x
+
+    steps = entries()
+    plan: list[tuple] = []  # the entries made so far
     full = (1 << g.n) - 1
-    image = [-1] * h.n
+    image = [0] * h.n
+    near = [0] * h.n
 
     def place(step: int, used: int) -> bool:
-        if step == len(order):
-            return True
-        x = order[step]
-        cand = full & ~used
-        for u in order[:step]:
-            if h.has_edge(u, x):
-                cand &= g.adj[image[u]]
-            else:
-                cand &= ~g.adj[image[u]]
-        for v in bits(cand):
-            if gdeg[v] < hdeg[x]:
+        if step == len(plan):
+            if step == h.n:
+                return True
+            plan.append(next(steps))
+        x, joined, k, apart, m, d = plan[step]
+        cand = full ^ used
+        for u in joined:
+            cand &= near[u]
+        test = cand.bit_count() <= m
+        if not test:
+            while apart:  # bits(apart), inlined
+                low = apart & -apart
+                apart ^= low
+                cand &= ~near[low.bit_length() - 1]
+        while cand:  # bits(cand), inlined
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            if gdeg[v] < d or test and (adj[v] & used).bit_count() != k:
                 continue
             image[x] = v
-            if place(step + 1, used | (1 << v)):
+            near[x] = adj[v]
+            if place(step + 1, used | low):
                 return True
-        image[x] = -1
         return False
 
     if place(0, 0):
-        return {x: image[x] for x in range(h.n)}
+        return dict(enumerate(image))
     return None
 
 

@@ -6,22 +6,23 @@ LexBFS, the PEO check of ``is_chordal``, ``verify_assignment`` and
 reversed PEO pass (now one sweep), the bit-at-a-time graph6 codec, the
 case analysis that scanned for triangles and K4s and ran one BFS variant
 per need, and the colour/parent-list bipartiteness test, the dict-parent
-hole search, the pairwise hole check, the pattern order built with a pair
-scan per step, the catalogue scan that tried every fan with at most n
-vertices, the canonical labelling that tried every order of twins, the
-enumeration that attached a vertex to every clique and labelled every
-child, the simplicial vertices found pair by pair, and the hub branch
-that walked its spokes and outer vertices one at a time and searched
-each spoke tree from its lowest vertex, the reading of a yes
-certificate's parts vertex by vertex, and the certificate reader that
-tested the parts' cover with one sort and filled the assignment in C
-before it named a fault vertex by vertex.
+hole search, the pairwise hole check, the pattern order built with a
+pair scan per step, the embedding search that tested its pattern's edge
+to every earlier step at every node, the catalogue scan that tried every
+fan with at most n vertices, the canonical labelling that tried every
+order of twins, the enumeration that attached a vertex to every clique
+and labelled every child, the simplicial vertices found pair by pair,
+and the hub branch that walked its spokes and outer vertices one at a
+time and searched each spoke tree from its lowest vertex, the reading of
+a yes certificate's parts vertex by vertex, and the certificate reader
+that tested the parts' cover with one sort and filled the assignment in
+C before it named a fault vertex by vertex.
 The library versions must return exactly the same orders, holes, first
 violations, subgraphs, graph6 text, decode errors, triangles, K4s,
-bipartizer sets, colourings, certificate JSON, scan witnesses, canonical
-keys and read certificates or reasons on every input; odd cycles and
-holes found by a layer search need only be valid and, for holes, as long
-as the reference's.
+bipartizer sets, colourings, certificate JSON, embeddings, scan
+witnesses, canonical keys and read certificates or reasons on every
+input; odd cycles and holes found by a layer search need only be valid
+and, for holes, as long as the reference's.
 """
 
 import importlib.util
@@ -87,6 +88,7 @@ from mpartition.chordal import (
 )
 from mpartition.graph import (
     BipartitenessCertificate,
+    _embed,
     _pattern_order,
     bfs_layers,
     bits,
@@ -2265,6 +2267,41 @@ def ref_pattern_order(h: Graph) -> list[int]:
     return order
 
 
+def ref_embed(g: Graph, h: Graph) -> dict[int, int] | None:
+    """Injective map of h into g that preserves edges and non-edges.
+    Deterministic: candidates tried in ascending vertex order."""
+    if h.n > g.n:
+        return None
+    order = _pattern_order(h)
+    gdeg = [g.degree(v) for v in range(g.n)]
+    hdeg = [h.degree(v) for v in range(h.n)]
+    full = (1 << g.n) - 1
+    image = [-1] * h.n
+
+    def place(step: int, used: int) -> bool:
+        if step == len(order):
+            return True
+        x = order[step]
+        cand = full & ~used
+        for u in order[:step]:
+            if h.has_edge(u, x):
+                cand &= g.adj[image[u]]
+            else:
+                cand &= ~g.adj[image[u]]
+        for v in bits(cand):
+            if gdeg[v] < hdeg[x]:
+                continue
+            image[x] = v
+            if place(step + 1, used | (1 << v)):
+                return True
+        image[x] = -1
+        return False
+
+    if place(0, 0):
+        return {x: image[x] for x in range(h.n)}
+    return None
+
+
 def test_pattern_order_matches_reference_on_catalogue_and_fans():
     for tag in FINITE_MINIMAL_TAGS:
         h = catalogue_graph(tag)
@@ -2318,6 +2355,32 @@ def test_scan_matches_unbounded_reference_on_fan_hosts():
         for m in range(5):
             g = disjoint_union(fan(k), path_graph(m))
             assert find_obstruction_by_scan(g) == ref_find_obstruction_by_scan(g)
+
+
+def check_embed(g: Graph, h: Graph) -> None:
+    """The whole map, keys in the same order, or both None."""
+    got, want = _embed(g, h), ref_embed(g, h)
+    assert got == want
+    assert got is None or list(got.items()) == list(want.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(), any_graphs, st.data())
+def test_embed_matches_reference(g, h, data):
+    # Patterns have at most six vertices: a search that fails only at its
+    # last step tries every ordered placement of the earlier ones, up to
+    # 12!/6! of them for a seven-vertex pattern in a complete host.
+    check_embed(g, induced(h, range(min(h.n, 6))))
+    # a pattern the host is sure to hold: the subgraph it induces on a drawn set
+    keep = data.draw(st.sets(st.integers(0, g.n - 1), max_size=6)) if g.n else set()
+    check_embed(g, induced(g, keep))
+
+
+def test_embed_matches_reference_on_corpus8(corpus8):
+    patterns = [catalogue_graph(tag) for tag in FINITE_MINIMAL_TAGS] + [fan(2)]
+    for g in corpus8:
+        for h in patterns:
+            check_embed(g, h)
 
 
 # ---------------------------------------------------------------------------
