@@ -123,7 +123,7 @@ class RunReport:
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "r", encoding="utf-8") as fh:  # stdin's under the default locale
         return fh.read()
 
 

@@ -448,61 +448,55 @@ def induced(g: Graph, s: Iterable[int]) -> Graph:
     return Graph(len(keep), edges)
 
 
-def _pattern_order(h: Graph) -> list[int]:
-    # Place high-degree vertices first and keep each new vertex attached to
-    # the placed prefix when possible, so constraint masks prune early: the
-    # next vertex has the most placed neighbours, then the highest degree,
-    # then the lowest id.  The heap holds those keys, negated so that the
-    # least comes first, one per vertex and placed neighbour count; a key
-    # behind its vertex's current count is stale and skipped, so the order
-    # takes O(m log n) steps.
+def _plan(h: Graph) -> Iterator[tuple]:
+    """The steps of ``_embed``'s search for h, drawn lazily.
+
+    Place high-degree vertices first and keep each new vertex attached to
+    the placed prefix when possible, so constraint masks prune early: the
+    next vertex has the most placed neighbours, then the highest degree,
+    then the lowest id.  The heap holds those keys, negated so that the
+    least comes first, one per vertex and placed neighbour count; a key
+    behind its vertex's current count is stale and skipped.  The pop that
+    places x yields its entry: x, its placed neighbours (``joined``, k of
+    them), the bitset of its placed non-neighbours (``apart``, m of them)
+    and its degree, with k, m and the degree read off the popped key.  So
+    a search that fails at step s pops only about s vertices' keys."""
     adj = h.adj
     degree = [-a.bit_count() for a in adj]
     count = [0] * h.n
     heap = [(0, degree[v], v) for v in range(h.n)]
     heapq.heapify(heap)
-    order: list[int] = []
     placed = 0
+    step = 0
     while heap:
-        c, _, v = heapq.heappop(heap)
-        if c != count[v]:
+        c, d, x = heapq.heappop(heap)
+        if c != count[x]:
             continue
-        order.append(v)
-        placed |= 1 << v
-        for w in bits(adj[v] & ~placed):
+        yield x, tuple(bits(adj[x] & placed)), -c, placed & ~adj[x], step + c, -d
+        placed |= 1 << x
+        step += 1
+        for w in bits(adj[x] & ~placed):
             count[w] -= 1
             heapq.heappush(heap, (count[w], degree[w], w))
-    return order
 
 
 def _embed(g: Graph, h: Graph) -> dict[int, int] | None:
     """Injective map of h into g that preserves edges and non-edges.
     Deterministic: candidates tried in ascending vertex order.
 
-    Step s places the s-th vertex x of ``_pattern_order(h)``.  Its plan
-    entry holds x's neighbours placed before it (``joined``), the bitset
-    of its earlier non-neighbours (``apart``, m of them) and the degree
-    its image needs.  A node ANDs the neighbourhoods of the joined images,
-    kept per placed vertex in ``near``, into its candidates, then rules out
-    those that see an image of ``apart`` in whichever way costs less: m
-    AND-NOTs if the candidates outnumber m, else one test per candidate,
-    which must see exactly ``len(joined)`` placed images.  An entry is made
-    when the search first reaches its step, so a search that fails early
-    plans only that far."""
+    Step s places the vertex x of the s-th entry of ``_plan(h)``.  A node
+    ANDs the neighbourhoods of the images of ``joined``, kept per placed
+    vertex in ``near``, into its candidates, then rules out those that see
+    an image of ``apart`` in whichever way costs less: m AND-NOTs if the
+    candidates outnumber m, else one test per candidate, which must see
+    exactly k placed images.  An entry is drawn when the search first
+    reaches its step, so a search that fails early plans only that far."""
     if h.n > g.n:
         return None
     adj = g.adj
     gdeg = [a.bit_count() for a in adj]
-
-    def entries() -> Iterator[tuple]:
-        placed = 0
-        for step, x in enumerate(_pattern_order(h)):
-            joined = tuple(bits(h.adj[x] & placed))
-            yield x, joined, len(joined), placed & ~h.adj[x], step - len(joined), h.degree(x)
-            placed |= 1 << x
-
-    steps = entries()
-    plan: list[tuple] = []  # the entries made so far
+    steps = _plan(h)
+    plan: list[tuple] = []  # the entries drawn so far
     full = (1 << g.n) - 1
     image = [0] * h.n
     near = [0] * h.n

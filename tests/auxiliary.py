@@ -9,7 +9,7 @@ and (not necessarily induced) subgraph containment.
 """
 
 from mpartition import Graph, components
-from mpartition.graph import _pattern_order, bits
+from mpartition.graph import _plan, bits
 
 AUXILIARY_EDGE_LISTS = {
     # two disjoint triangles
@@ -56,7 +56,7 @@ def contains_subgraph(g: Graph, h: Graph) -> dict[int, int] | None:
     ascending vertex order."""
     if h.n > g.n:
         return None
-    order = _pattern_order(h)
+    order = [x for x, *_ in _plan(h)]
     full = (1 << g.n) - 1
     image = [-1] * h.n
 

@@ -416,6 +416,35 @@ def test_minimality_command(capsys):
     assert err == "error: unknown obstruction tag 'F0'\n"
 
 
+NON_ASCII_WITNESS = ('{"decision": "no", "parts": null, '
+                     '"witness": {"kind": "F\u00e9", "vertices": [0, 1, 2, 3, 4]}}\n')
+
+
+@pytest.mark.parametrize(
+    "argv, text, code",
+    [
+        (["verify", "{graph}", "{input}"], NON_ASCII_WITNESS, 1),
+        (["check", "{input}"], "DQ\u00e9\n", 2),
+        (["check", "--format", "edgelist", "{input}"], "3 1\n0 \u00e9\n", 2),
+    ],
+    ids=["witness-kind", "graph6", "edgelist"],
+)
+def test_non_ascii_text_gets_one_answer_from_a_file_and_stdin(
+        tmp_path, capsys, monkeypatch, argv, text, code):
+    # a file is read as UTF-8, as stdin is under the default locale, so the
+    # parsers judge the same text either way
+    graph = tmp_path / "g.g6"
+    graph.write_text("DQ{\n")
+    source = tmp_path / "input"
+    source.write_bytes(text.encode("utf-8"))
+    answers = []
+    for name in (str(source), "-"):
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        answers.append(run(capsys, *(a.format(graph=graph, input=name) for a in argv)))
+    assert answers[0] == answers[1]
+    assert answers[0][0] == code
+
+
 def rejects_certificates(*args, **kwargs):
     raise RuntimeError("internal error: certificate check failed")
 
@@ -430,6 +459,9 @@ def rejects_chordality(*args, **kwargs):
         (["enumerate", "--max-n", "1", "--verify"], "solve", lambda g, pattern: None,
          {"graph6": "@", "kind": "disagreement",
           "detail": "solver=True oracle=False scan=True"}),
+        (["enumerate", "--max-n", "1", "--verify"], "solve_certifying", rejects_certificates,
+         {"graph6": "@", "kind": "invalid-certificate",
+          "detail": "internal error: certificate check failed"}),
         (["random", "--n", "4"], "solve_certifying", rejects_certificates,
          {"graph6": "C~", "kind": "invalid-certificate",
           "detail": "internal error: certificate check failed"}),

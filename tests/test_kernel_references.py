@@ -89,7 +89,7 @@ from mpartition.chordal import (
 from mpartition.graph import (
     BipartitenessCertificate,
     _embed,
-    _pattern_order,
+    _plan,
     bfs_layers,
     bits,
     first_edge,
@@ -2272,7 +2272,7 @@ def ref_embed(g: Graph, h: Graph) -> dict[int, int] | None:
     Deterministic: candidates tried in ascending vertex order."""
     if h.n > g.n:
         return None
-    order = _pattern_order(h)
+    order = ref_pattern_order(h)
     gdeg = [g.degree(v) for v in range(g.n)]
     hdeg = [h.degree(v) for v in range(h.n)]
     full = (1 << g.n) - 1
@@ -2302,18 +2302,49 @@ def ref_embed(g: Graph, h: Graph) -> dict[int, int] | None:
     return None
 
 
+def ref_plan(h: Graph) -> list[tuple]:
+    """The entries of ``_plan(h)``, from the reference order."""
+    entries = []
+    placed: list[int] = []
+    for x in ref_pattern_order(h):
+        joined = tuple(u for u in sorted(placed) if h.has_edge(u, x))
+        apart = sum(1 << u for u in placed if not h.has_edge(u, x))
+        entries.append((x, joined, len(joined), apart, len(placed) - len(joined), h.degree(x)))
+        placed.append(x)
+    return entries
+
+
 def test_pattern_order_matches_reference_on_catalogue_and_fans():
     for tag in FINITE_MINIMAL_TAGS:
         h = catalogue_graph(tag)
-        assert _pattern_order(h) == ref_pattern_order(h)
+        assert list(_plan(h)) == ref_plan(h)
     for k in range(2, 41):
-        assert _pattern_order(fan(k)) == ref_pattern_order(fan(k))
+        assert list(_plan(fan(k))) == ref_plan(fan(k))
 
 
 @settings(max_examples=300, deadline=None)
 @given(any_graphs)
 def test_pattern_order_matches_reference(g):
-    assert _pattern_order(g) == ref_pattern_order(g)
+    assert list(_plan(g)) == ref_plan(g)
+
+
+def test_embed_draws_the_plan_lazily(monkeypatch):
+    # Fan(k)'s hub goes to the star's centre, and no leaf has the degree
+    # of the path vertex placed next, so the search fails at step 1
+    drawn = 0
+
+    def counted(h):
+        nonlocal drawn
+        for entry in _plan(h):
+            drawn += 1
+            yield entry
+
+    monkeypatch.setattr("mpartition.graph._plan", counted)
+    star = Graph(128, [(0, v) for v in range(1, 128)])
+    for k in range(2, 51):
+        drawn = 0
+        assert _embed(star, fan(k)) is None
+        assert drawn <= 2, (k, drawn)
 
 
 def ref_find_obstruction_by_scan(g: Graph):
