@@ -459,9 +459,6 @@ def rejects_chordality(*args, **kwargs):
         (["enumerate", "--max-n", "1", "--verify"], "solve", lambda g, pattern: None,
          {"graph6": "@", "kind": "disagreement",
           "detail": "solver=True oracle=False scan=True"}),
-        (["enumerate", "--max-n", "1", "--verify"], "solve_certifying", rejects_certificates,
-         {"graph6": "@", "kind": "invalid-certificate",
-          "detail": "internal error: certificate check failed"}),
         (["random", "--n", "4"], "solve_certifying", rejects_certificates,
          {"graph6": "C~", "kind": "invalid-certificate",
           "detail": "internal error: certificate check failed"}),
@@ -469,6 +466,9 @@ def rejects_chordality(*args, **kwargs):
          {"graph6": "C~", "kind": "not-chordal"}),
         (["minimality", "F1"], "is_minimal_obstruction", lambda g, pattern: False,
          {"graph6": "DwC", "kind": "minimality-mismatch", "detail": "F1: minimal=False"}),
+        (["enumerate", "--max-n", "1", "--verify"], "solve_certifying", rejects_certificates,
+         {"graph6": "@", "kind": "invalid-certificate",
+          "detail": "internal error: certificate check failed"}),
     ],
 )
 def test_batch_failures_are_reported(capsys, monkeypatch, argv, target, stand_in, failure):
